@@ -6,7 +6,7 @@
 //
 // With -verify, the client first cold-syncs the co-signed block header
 // chain and then performs every read through the proof-carrying verified
-// path (Session.ReadVerified): a stale or forged value is rejected at
+// path (Session.Read with client.Verified()): a stale or forged value is rejected at
 // read time instead of at the next audit.
 //
 //	fides-client -deployment deployment.json -txns 20 -verify -audit

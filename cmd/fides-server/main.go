@@ -184,7 +184,7 @@ func run(path string, index int, dataDir, fsync string, snapEvery, pipeline int,
 		}
 		defer func() { _ = dstore.Close() }()
 		rec, err := dstore.Recover(durable.RecoveryConfig{
-			Registry:     reg,
+			Verifier:     ledger.NewChainVerifier(d.ServerIDs(), crypto.NewSerial(reg)),
 			Self:         ident.ID,
 			ShardIDs:     items,
 			InitialValue: initial,

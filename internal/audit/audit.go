@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/crypto"
 	"repro/internal/identity"
 	"repro/internal/ledger"
 	"repro/internal/peer"
@@ -211,23 +210,12 @@ type Config struct {
 
 // Auditor audits a Fides deployment.
 type Auditor struct {
-	ident    *identity.Identity
-	reg      *identity.Registry
-	tr       transport.Transport
-	servers  []identity.NodeID
-	dir      Directory
-	coord    identity.NodeID
-	verifier ledger.CoSigVerifier
-}
-
-// cosigVerifier returns the auditor's verification plane, defaulting to
-// the serial backend over the registry when none was injected (an Auditor
-// built by hand rather than through New).
-func (a *Auditor) cosigVerifier() ledger.CoSigVerifier {
-	if a.verifier == nil {
-		a.verifier = crypto.NewSerial(a.reg)
-	}
-	return a.verifier
+	ident   *identity.Identity
+	tr      transport.Transport
+	servers []identity.NodeID
+	dir     Directory
+	coord   identity.NodeID
+	chain   *ledger.ChainVerifier
 }
 
 // New creates an Auditor.
@@ -242,13 +230,12 @@ func New(cfg Config) (*Auditor, error) {
 	servers := append([]identity.NodeID(nil), cfg.Servers...)
 	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
 	return &Auditor{
-		ident:    cfg.Identity,
-		reg:      cfg.Registry,
-		tr:       cfg.Transport,
-		servers:  servers,
-		dir:      cfg.Directory,
-		coord:    cfg.Coordinator,
-		verifier: cfg.Verifier,
+		ident:   cfg.Identity,
+		tr:      cfg.Transport,
+		servers: servers,
+		dir:     cfg.Directory,
+		coord:   cfg.Coordinator,
+		chain:   ledger.NewChainVerifier(servers, cfg.Verifier),
 	}, nil
 }
 

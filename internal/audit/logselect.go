@@ -10,9 +10,9 @@ import (
 )
 
 // selectAuthoritative verifies every served log and identifies the correct
-// and complete log (paper §3.3 step ii, Lemmas 6 and 7): each log's hash
-// pointers and collective signatures are checked block by block; among the
-// valid logs, the longest is authoritative (at least one server is assumed
+// and complete log (paper §3.3 step ii, Lemmas 6 and 7): each log passes
+// the ledger chain verifier block by block (hash pointers, full signer set,
+// collective signature); among the valid logs, the longest is authoritative (at least one server is assumed
 // correct and failure-free, so the longest valid log is the complete one);
 // valid logs that are strict prefixes are incomplete; valid logs that
 // diverge are forks.
@@ -28,7 +28,7 @@ func (a *Auditor) selectAuthoritative(logs map[identity.NodeID][]*ledger.Block, 
 		if !ok {
 			continue // already reported unauditable
 		}
-		at, err := ledger.VerifyChainWith(a.cosigVerifier(), blocks)
+		at, err := a.chain.Chain(blocks)
 		if err != nil {
 			report.Findings = append(report.Findings, classifyChainError(a, id, at, err))
 			// The valid prefix before the break still participates in
@@ -114,8 +114,9 @@ func classifyChainError(a *Auditor, id identity.NodeID, at int, err error) Findi
 		f.Type = FindingReorderedLog
 	case errors.Is(err, ledger.ErrChainCoSig), errors.Is(err, ledger.ErrChainSigners):
 		// An unverifiable collective signature means the block content was
-		// manipulated after signing — or was never collectively signed at
-		// all, the footprint of an accepted equivocation branch (Lemma 5).
+		// manipulated after signing — or was never collectively signed by
+		// the full server set, the footprint of an accepted equivocation
+		// branch (Lemma 5).
 		f.Type = FindingTamperedLog
 		f.Servers = a.implicated(f.Servers, true)
 	default:

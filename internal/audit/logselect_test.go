@@ -1,14 +1,19 @@
 package audit
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
 	"repro/internal/cosi"
+	"repro/internal/crypto"
 	"repro/internal/identity"
 	"repro/internal/ledger"
+	"repro/internal/peer"
 	"repro/internal/schnorr"
+	"repro/internal/transport"
 	"repro/internal/txn"
+	"repro/internal/wire"
 )
 
 // signedEnv holds real server identities so tests can produce genuinely
@@ -35,15 +40,22 @@ func newSignedEnv(t *testing.T, n int) *signedEnv {
 	return e
 }
 
-// signBlock attaches a genuine collective signature.
+// signBlock attaches a genuine collective signature of every server.
 func (e *signedEnv) signBlock(t *testing.T, b *ledger.Block) {
 	t.Helper()
-	b.Signers = e.ids
-	n := len(e.idents)
+	e.signBlockBy(t, b, e.idents)
+}
+
+// signBlockBy attaches a genuine collective signature of the given servers.
+func (e *signedEnv) signBlockBy(t *testing.T, b *ledger.Block, by []*identity.Identity) {
+	t.Helper()
+	b.Signers = nil
+	n := len(by)
 	commitments := make([]cosi.Commitment, n)
 	secrets := make([]cosi.Secret, n)
 	pubs := make([]schnorr.PublicKey, n)
-	for i, ident := range e.idents {
+	for i, ident := range by {
+		b.Signers = append(b.Signers, ident.ID)
 		var err error
 		commitments[i], secrets[i], err = cosi.Commit(nil)
 		if err != nil {
@@ -61,7 +73,7 @@ func (e *signedEnv) signBlock(t *testing.T, b *ledger.Block) {
 	}
 	ch := cosi.Challenge(aggV, aggPub, b.SigningBytes())
 	responses := make([]*big.Int, n)
-	for i, ident := range e.idents {
+	for i, ident := range by {
 		responses[i], err = cosi.Respond(ident.Schnorr, &secrets[i], ch)
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +115,7 @@ func (e *signedEnv) signedChain(t *testing.T, k int) []*ledger.Block {
 
 func (e *signedEnv) auditor() *Auditor {
 	return &Auditor{
-		reg:     e.reg,
+		chain:   ledger.NewChainVerifier(e.ids, crypto.NewSerial(e.reg)),
 		servers: e.ids,
 		dir:     mapDir{"x": e.ids[0]},
 		coord:   e.ids[0],
@@ -245,5 +257,54 @@ func TestReplayAcceptsSignedChain(t *testing.T) {
 	a.replayLog(report, nil)
 	if len(report.Findings) != 0 {
 		t.Fatalf("findings = %v", report.Findings)
+	}
+}
+
+// TestRunFlagsSubsetSignedBlock: a log served with a block whose
+// collective signature is valid but comes from a strict subset of the
+// servers was never agreed by the full server set (§4.3.1). The audit
+// must report it as tampered, not as a valid fork.
+func TestRunFlagsSubsetSignedBlock(t *testing.T) {
+	e := newSignedEnv(t, 3)
+	chain := e.signedChain(t, 3)
+	forged := cloneChain(chain)
+	e.signBlockBy(t, forged[2], e.idents[:2])
+
+	net := transport.NewLocalNetwork(0)
+	served := map[identity.NodeID][]*ledger.Block{e.ids[0]: chain, e.ids[1]: chain, e.ids[2]: forged}
+	for _, ident := range e.idents {
+		blocks := served[ident.ID]
+		net.Endpoint(ident, e.reg, transport.HandlerFunc(func(context.Context, identity.NodeID, transport.Message) (transport.Message, error) {
+			return transport.NewMessage(wire.MsgFetchLog, &wire.FetchLogResp{Blocks: blocks})
+		}))
+	}
+	auditorIdent, err := identity.New("auditor", identity.RoleClient, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.reg.Register(auditorIdent.Public())
+	a, err := New(Config{
+		PeerConfig: peer.PeerConfig{
+			Registry:    e.reg,
+			Transport:   net.Endpoint(auditorIdent, e.reg, nil),
+			Servers:     e.ids,
+			Coordinator: e.ids[0],
+		},
+		Identity:  auditorIdent,
+		Directory: mapDir{"x": e.ids[0]},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := a.Run(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := report.ByType(FindingTamperedLog)
+	if len(tampered) != 1 || tampered[0].Height != 2 || !report.Implicates(e.ids[2]) {
+		t.Fatalf("want one tampered-log finding at height 2 implicating %s; findings = %v", e.ids[2], report.Findings)
+	}
+	if forks := report.ByType(FindingForkedLog); len(forks) != 0 {
+		t.Fatalf("subset-signed block accepted as a valid fork: %v", forks)
 	}
 }

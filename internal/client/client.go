@@ -47,7 +47,7 @@ type Config struct {
 	// owns a private Lamport clock. Several clients may share one source
 	// (paper §4.1: clients need only use the same timestamp mechanism).
 	TSSource txn.TSSource
-	// Verifier enables Session.ReadVerified: reads carry Merkle proofs
+	// Verifier enables Verified() reads: they carry Merkle proofs
 	// that are checked against the light client's synced header chain
 	// before the value is accepted. Many clients may (and should) share
 	// one Verifier — the header cache is shared state. Nil leaves only
@@ -119,8 +119,8 @@ func New(cfg Config) (*Client, error) {
 	}, nil
 }
 
-// Verifier returns the light client backing ReadVerified (nil when the
-// client was built without one).
+// Verifier returns the light client backing Verified() reads (nil when
+// the client was built without one).
 func (c *Client) Verifier() *lightclient.Client { return c.verifier }
 
 // ID returns the client's node id.
@@ -299,16 +299,9 @@ func (s *Session) readPinned(ctx context.Context, id txn.ItemID, height uint64) 
 	return append([]byte(nil), vals[0].Value...), nil
 }
 
-// ErrNoVerifier is returned by ReadVerified on a client built without a
-// light client (Config.Verifier).
+// ErrNoVerifier is returned by a Verified() or AtHeight read on a client
+// built without a light client (Config.Verifier).
 var ErrNoVerifier = errors.New("client: no verifier configured for verified reads")
-
-// ReadVerified is Read with the Verified() option.
-//
-// Deprecated: use Read(ctx, id, Verified()).
-func (s *Session) ReadVerified(ctx context.Context, id txn.ItemID) ([]byte, error) {
-	return s.Read(ctx, id, Verified())
-}
 
 // Write buffers a new value for an item at its owning server and records
 // the write entry. For blind writes (items not read first), the server's

@@ -65,6 +65,8 @@ func newClientStack(t *testing.T, n int) (*client.Client, []*server.Server) {
 	var servers []*server.Server
 	var idents []*identity.Identity
 	var endpoints []transport.Transport
+	// Every server is registered before any is built: a server's registry
+	// servers are the full set its decisions must be signed by.
 	for s := 0; s < n; s++ {
 		ident, err := identity.New(ids[s], identity.RoleServer, nil)
 		if err != nil {
@@ -72,6 +74,8 @@ func newClientStack(t *testing.T, n int) (*client.Client, []*server.Server) {
 		}
 		reg.Register(ident.Public())
 		idents = append(idents, ident)
+	}
+	for s, ident := range idents {
 		items := make([]txn.ItemID, 8)
 		for i := range items {
 			items[i] = item(s, i)

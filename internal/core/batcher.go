@@ -88,6 +88,7 @@ type Batcher struct {
 	closed    bool
 	closeOnce sync.Once
 	stopped   chan struct{}
+	drained   chan struct{} // closed once Close has failed every queued request
 	wg        sync.WaitGroup
 }
 
@@ -193,6 +194,7 @@ func NewPipelinedBatcherObs(committer BlockCommitter, reg *identity.Registry, ba
 		queue:         make(chan *pendingTxn, 16*batchSize+64),
 		wake:          make(chan struct{}, 1),
 		stopped:       make(chan struct{}),
+		drained:       make(chan struct{}),
 	}
 	b.wg.Add(1)
 	go b.run()
@@ -260,6 +262,16 @@ func (b *Batcher) Terminate(ctx context.Context, env identity.Envelope) (*wire.E
 	select {
 	case r := <-p.resp:
 		return r.resp, r.err
+	case <-b.drained:
+		// Every answer the batcher will ever give has been sent by now —
+		// in-flight blocks finish before the drain — so an empty p.resp
+		// means p reached the queue after it was drained.
+		select {
+		case r := <-p.resp:
+			return r.resp, r.err
+		default:
+			return nil, ErrBatcherClosed
+		}
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -274,15 +286,25 @@ func (b *Batcher) Observe(ts txn.Timestamp) {
 	b.mu.Unlock()
 }
 
-// Close stops the batching loop and fails queued requests.
+// Close stops the batching loop and fails queued requests. Blocks already
+// in flight finish first, so their clients get the real decision.
 func (b *Batcher) Close() {
 	b.closeOnce.Do(func() {
 		b.mu.Lock()
 		b.closed = true
 		b.mu.Unlock()
 		close(b.stopped)
+		b.wg.Wait()
+		for {
+			select {
+			case p := <-b.queue:
+				p.resp <- termResult{err: ErrBatcherClosed}
+			default:
+				close(b.drained)
+				return
+			}
+		}
 	})
-	b.wg.Wait()
 }
 
 // run is the block-production loop: strictly sequential at depth 1, a

@@ -403,7 +403,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			c.mu.Unlock()
 			c.stores[id] = dstore
 			rec, err := dstore.Recover(durable.RecoveryConfig{
-				Registry:     c.reg,
+				Verifier:     ledger.NewChainVerifier(c.serverIDs, crypto.NewSerial(c.reg)),
 				Self:         id,
 				ShardIDs:     c.dir.ShardItems(id),
 				InitialValue: cfg.InitialValue,
@@ -880,7 +880,7 @@ func (c *Cluster) NewLightClient() (*lightclient.Client, error) {
 	})
 }
 
-// NewVerifyingClient creates a client whose sessions support ReadVerified,
+// NewVerifyingClient creates a client whose sessions support Verified() reads,
 // backed by the given light client (a fresh one when lc is nil). The light
 // client is returned alongside so callers can drive Sync and read stats.
 func (c *Cluster) NewVerifyingClient(lc *lightclient.Client) (*client.Client, *lightclient.Client, error) {

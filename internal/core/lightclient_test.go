@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/client"
 	"repro/internal/identity"
 	"repro/internal/lightclient"
 	"repro/internal/peer"
@@ -146,7 +147,7 @@ func TestLightClientResumableSync(t *testing.T) {
 
 }
 
-// TestSessionReadVerifiedCommits drives ReadVerified through a full
+// TestSessionReadVerifiedCommits drives a Verified() read through a full
 // transaction: the verified value enters the read set and the transaction
 // commits like any other.
 func TestSessionReadVerifiedCommits(t *testing.T) {
@@ -167,7 +168,7 @@ func TestSessionReadVerifiedCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := cl.Begin()
-	v, err := s.ReadVerified(ctx, item)
+	v, err := s.Read(ctx, item, client.Verified())
 	if err != nil {
 		t.Fatalf("session verified read: %v", err)
 	}

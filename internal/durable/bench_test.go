@@ -47,7 +47,7 @@ func BenchmarkWALAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer func() { _ = s.Close() }()
-			if _, err := s.Recover(RecoveryConfig{Registry: identity.NewRegistry(), Self: "s00"}); err != nil {
+			if _, err := s.Recover(RecoveryConfig{Verifier: ledger.NewChainVerifier(nil, nil), Self: "s00"}); err != nil {
 				b.Fatal(err)
 			}
 			blk := benchBlock(0, nil)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cosi"
+	"repro/internal/crypto"
 	"repro/internal/identity"
 	"repro/internal/ledger"
 	"repro/internal/schnorr"
@@ -60,7 +61,7 @@ func (h *harness) initial(txn.ItemID) []byte { return []byte("0") }
 
 func (h *harness) recoveryConfig() RecoveryConfig {
 	return RecoveryConfig{
-		Registry:     h.reg,
+		Verifier:     ledger.NewChainVerifier(h.ids, crypto.NewSerial(h.reg)),
 		Self:         h.self,
 		ShardIDs:     h.itemID,
 		InitialValue: h.initial,
@@ -103,7 +104,7 @@ func (h *harness) nextBlock(j int) *ledger.Block {
 	if height > 0 {
 		b.PrevHash = h.chain[height-1].Hash()
 	}
-	h.coSign(b)
+	h.coSign(b, len(h.ids))
 	if err := h.shard.Apply([]store.Access{access}); err != nil {
 		h.t.Fatal(err)
 	}
@@ -114,11 +115,10 @@ func (h *harness) nextBlock(j int) *ledger.Block {
 	return b
 }
 
-// coSign collectively signs the block with every harness identity.
-func (h *harness) coSign(b *ledger.Block) {
+// coSign collectively signs the block with the first n harness identities.
+func (h *harness) coSign(b *ledger.Block, n int) {
 	h.t.Helper()
-	b.Signers = append([]identity.NodeID(nil), h.ids...)
-	n := len(h.ids)
+	b.Signers = append([]identity.NodeID(nil), h.ids[:n]...)
 	commitments := make([]cosi.Commitment, n)
 	secrets := make([]cosi.Secret, n)
 	pubs := make([]schnorr.PublicKey, n)
@@ -433,6 +433,36 @@ func TestRecoverTamperedRecordRejected(t *testing.T) {
 	_, err = reopen(t, dir, h.recoveryConfig(), Options{})
 	if !errors.Is(err, ErrTampered) {
 		t.Fatalf("err = %v, want ErrTampered", err)
+	}
+}
+
+// A block whose collective signature is valid but comes from a strict
+// subset of the servers was never agreed by the full server set (§4.3.1):
+// recovery must refuse it like any other tampered record.
+func TestRecoverSubsetSignedBlockRejected(t *testing.T) {
+	dir := t.TempDir()
+	h := newHarness(t, 3, 4)
+	h.persistChain(dir, 2, Options{})
+
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(h.recoveryConfig()); err != nil {
+		t.Fatal(err)
+	}
+	b := h.nextBlock(0)
+	h.coSign(b, 2)
+	if err := s.Persist(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = reopen(t, dir, h.recoveryConfig(), Options{})
+	if !errors.Is(err, ErrTampered) || !strings.Contains(err.Error(), "signed by 2 of 3 servers") {
+		t.Fatalf("err = %v, want ErrTampered for the subset-signed block", err)
 	}
 }
 

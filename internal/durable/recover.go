@@ -17,16 +17,18 @@ import (
 
 // ErrTampered marks a WAL whose records are structurally intact (CRC
 // passes, so this is not a crash artifact) but fail cryptographic
-// verification: an undecodable payload, a broken hash chain, an invalid
-// collective signature, or a replayed Merkle root that contradicts the
-// signed one. Startup must refuse such a disk rather than serve from it.
+// verification: an undecodable payload, a broken hash chain, a signer set
+// other than the full server set, an invalid collective signature, or a
+// replayed Merkle root that contradicts the signed one. Startup must
+// refuse such a disk rather than serve from it.
 var ErrTampered = errors.New("durable: WAL failed verification — refusing tampered disk state")
 
 // RecoveryConfig supplies everything recovery needs to re-verify the disk
 // as an auditor would and to rebuild this server's shard.
 type RecoveryConfig struct {
-	// Registry resolves the Schnorr keys of the block signers.
-	Registry *identity.Registry
+	// Verifier is the chain verifier every recovered block must pass:
+	// built from the full server set and the co-sign verification backend.
+	Verifier *ledger.ChainVerifier
 	// Self is this server's node id (selects which Merkle roots to check).
 	Self identity.NodeID
 	// ShardIDs is the full item set of this server's shard.
@@ -115,10 +117,11 @@ func lockDir(dir string) (*os.File, error) {
 }
 
 // Recover verifies the scanned WAL exactly as an auditor verifies a
-// fetched log — contiguous heights, hash chain, collective signature per
-// block — rebuilds the shard (from the newest usable snapshot plus the WAL
-// tail, or by full replay), and cross-checks every recomputed Merkle root
-// against the root this server co-signed into the corresponding block.
+// fetched log — contiguous heights, hash chain, full signer set and
+// collective signature per block — rebuilds the shard (from the newest
+// usable snapshot plus the WAL tail, or by full replay), and cross-checks
+// every recomputed Merkle root against the root this server co-signed
+// into the corresponding block.
 func (s *Store) Recover(rc RecoveryConfig) (*Recovered, error) {
 	s.mu.Lock()
 	payloads := s.payloads
@@ -139,8 +142,8 @@ func (s *Store) Recover(rc RecoveryConfig) (*Recovered, error) {
 		blocks[i] = b
 	}
 
-	// Verify the chain: heights from 0, prev-hash links, co-signs.
-	if at, err := ledger.VerifyChain(blocks, rc.Registry); err != nil {
+	// Verify the chain: heights from 0, prev-hash links, full-set co-signs.
+	if at, err := rc.Verifier.Chain(blocks); err != nil {
 		return nil, fmt.Errorf("%w: block %d: %v", ErrTampered, at, err)
 	}
 	res.Blocks = blocks

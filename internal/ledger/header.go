@@ -3,7 +3,6 @@ package ledger
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 
 	"repro/internal/binenc"
@@ -112,45 +111,6 @@ func (h *Header) Clone() *Header {
 		}
 	}
 	return nh
-}
-
-// ErrHeaderCoSig reports a header whose collective signature does not
-// verify against the Schnorr keys of its declared signers.
-var ErrHeaderCoSig = errors.New("ledger: invalid header collective signature")
-
-// VerifyHeaderSig checks the header's collective signature against the
-// aggregate Schnorr public key of its declared signers — the header-only
-// form of VerifyBlockSig.
-func VerifyHeaderSig(h *Header, keys *identity.Registry) error {
-	if len(h.Signers) == 0 {
-		return fmt.Errorf("%w: header %d has no signers", ErrHeaderCoSig, h.Height)
-	}
-	pubs, err := keys.SchnorrKeys(h.Signers)
-	if err != nil {
-		return fmt.Errorf("%w: header %d: %v", ErrHeaderCoSig, h.Height, err)
-	}
-	sig := h.CoSig()
-	if sig.IsZero() || !cosi.VerifyParticipants(pubs, h.SigningBytes(), sig) {
-		return fmt.Errorf("%w: header %d", ErrHeaderCoSig, h.Height)
-	}
-	return nil
-}
-
-// VerifyHeaderSigWith is VerifyHeaderSig through an injected verification
-// backend — the light client's and watchtower's form, where the backend
-// may replay a cached verdict for these exact header bytes.
-func VerifyHeaderSigWith(v CoSigVerifier, h *Header) error {
-	if len(h.Signers) == 0 {
-		return fmt.Errorf("%w: header %d has no signers", ErrHeaderCoSig, h.Height)
-	}
-	sig := h.CoSig()
-	if sig.IsZero() {
-		return fmt.Errorf("%w: header %d has no co-sign", ErrHeaderCoSig, h.Height)
-	}
-	if err := v.VerifyCoSig(h.Signers, h.SigningBytes(), sig); err != nil {
-		return fmt.Errorf("%w: header %d: %v", ErrHeaderCoSig, h.Height, err)
-	}
-	return nil
 }
 
 // Matches reports whether the header was extracted from a block with the

@@ -15,7 +15,7 @@ import (
 // chain verify from headers alone.
 func TestHeaderMatchesBlock(t *testing.T) {
 	b := sampleBlock(3, []byte("prev"))
-	reg, _ := signBlock(t, b, 4)
+	srv := signBlock(t, b, 4)
 
 	h := b.Header()
 	if !bytes.Equal(h.SigningBytes(), b.SigningBytes()) {
@@ -27,20 +27,24 @@ func TestHeaderMatchesBlock(t *testing.T) {
 	if !h.Matches(b) {
 		t.Fatal("header does not match its originating block")
 	}
-	if err := VerifyHeaderSig(h, reg); err != nil {
-		t.Fatalf("header co-sign failed to verify: %v", err)
+	if err := srv.verifier().Entry(3, []byte("prev"), h, nil); err != nil {
+		t.Fatalf("header failed to verify: %v", err)
 	}
 }
 
 func TestHeaderVerifyDetectsTampering(t *testing.T) {
 	b := sampleBlock(1, []byte("prev"))
-	reg, signers := signBlock(t, b, 3)
+	srv := signBlock(t, b, 3)
+	v := srv.verifier()
+	// The header vouches for its own position, so every mutation below is
+	// caught by the collective signature alone.
+	verify := func(h *Header) error { return v.Entry(h.Height, h.PrevHash, h, nil) }
 
 	// Any mutation of a co-signed field must break verification.
 	mutations := map[string]func(h *Header){
 		"height":   func(h *Header) { h.Height++ },
 		"txnshash": func(h *Header) { h.TxnsHash[0] ^= 1 },
-		"root":     func(h *Header) { h.Roots[signers[0]] = []byte("forged") },
+		"root":     func(h *Header) { h.Roots[srv.ids[0]] = []byte("forged") },
 		"decision": func(h *Header) { h.Decision = DecisionAbort },
 		"prevhash": func(h *Header) { h.PrevHash = []byte("other") },
 		"cosig":    func(h *Header) { h.CoSigS[0] ^= 1 },
@@ -51,16 +55,16 @@ func TestHeaderVerifyDetectsTampering(t *testing.T) {
 			h.Roots = map[identity.NodeID][]byte{}
 		}
 		mutate(h)
-		if err := VerifyHeaderSig(h, reg); !errors.Is(err, ErrHeaderCoSig) {
-			t.Fatalf("mutation %q: got %v, want ErrHeaderCoSig", name, err)
+		if err := verify(h); !errors.Is(err, ErrChainCoSig) {
+			t.Fatalf("mutation %q: got %v, want ErrChainCoSig", name, err)
 		}
 	}
 
 	// No signers at all is rejected too.
 	h := b.Header()
 	h.Signers = nil
-	if err := VerifyHeaderSig(h, reg); !errors.Is(err, ErrHeaderCoSig) {
-		t.Fatalf("no signers: got %v, want ErrHeaderCoSig", err)
+	if err := verify(h); !errors.Is(err, ErrChainSigners) {
+		t.Fatalf("no signers: got %v, want ErrChainSigners", err)
 	}
 }
 

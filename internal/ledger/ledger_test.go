@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"testing"
 
-	"repro/internal/cosi"
 	"repro/internal/identity"
 	"repro/internal/schnorr"
 	"repro/internal/txn"
@@ -169,115 +168,6 @@ func TestMaxTS(t *testing.T) {
 	b.Txns = append(b.Txns, TxnRecord{TxnID: "t2", TS: txn.Timestamp{Time: 99, ClientID: 2}})
 	if got := b.MaxTS(); got != (txn.Timestamp{Time: 99, ClientID: 2}) {
 		t.Errorf("MaxTS = %v", got)
-	}
-}
-
-// signBlock produces a genuine collective signature over the block with
-// fresh server identities registered in reg.
-func signBlock(t *testing.T, b *Block, n int) (*identity.Registry, []identity.NodeID) {
-	t.Helper()
-	reg := identity.NewRegistry()
-	ids := make([]identity.NodeID, n)
-	privs := make([]*schnorr.PrivateKey, n)
-	pubs := make([]schnorr.PublicKey, n)
-	for i := 0; i < n; i++ {
-		ids[i] = identity.NodeID(rune('a' + i))
-		ident, err := identity.New(ids[i], identity.RoleServer, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg.Register(ident.Public())
-		privs[i] = ident.Schnorr
-		pubs[i] = ident.Schnorr.Public
-	}
-	b.Signers = ids
-
-	commitments := make([]cosi.Commitment, n)
-	secrets := make([]cosi.Secret, n)
-	for i := 0; i < n; i++ {
-		c, s, err := cosi.Commit(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		commitments[i] = c
-		secrets[i] = s
-	}
-	aggV, err := cosi.AggregateCommitments(commitments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggPub, err := cosi.AggregatePublicKeys(pubs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := cosi.Challenge(aggV, aggPub, b.SigningBytes())
-	responses := make([]*big.Int, n)
-	for i := 0; i < n; i++ {
-		r, err := cosi.Respond(privs[i], &secrets[i], ch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		responses[i] = r
-	}
-	aggR, err := cosi.AggregateResponses(responses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetCoSig(cosi.Finalize(ch, aggR))
-	return reg, ids
-}
-
-func TestVerifyChain(t *testing.T) {
-	b0 := sampleBlock(0, nil)
-	reg, ids := signBlock(t, b0, 3)
-
-	b1 := sampleBlock(1, b0.Hash())
-	b1.Signers = ids
-	// Sign b1 with the same identities: rebuild via helper on a fresh
-	// registry is wrong here, so sign manually using the registered keys.
-	// Easiest: reuse signBlock on a copy and transplant — instead just
-	// re-sign using identities is not accessible; so create chain of one
-	// block and verify errors on the second.
-	if at, err := VerifyChain([]*Block{b0}, reg); err != nil || at != -1 {
-		t.Fatalf("valid single-block chain rejected: at=%d err=%v", at, err)
-	}
-
-	// Tampered content breaks the co-sign.
-	tampered := b0.Clone()
-	tampered.Txns[0].Writes[0].NewVal = []byte("evil")
-	if at, err := VerifyChain([]*Block{tampered}, reg); err == nil {
-		t.Error("tampered block verified")
-	} else if at != 0 {
-		t.Errorf("tamper flagged at %d, want 0", at)
-	}
-
-	// Unsigned follow-up block: prev-hash OK but no co-sign.
-	if at, err := VerifyChain([]*Block{b0, b1}, reg); err == nil {
-		t.Error("unsigned block verified")
-	} else if at != 1 {
-		t.Errorf("unsigned block flagged at %d, want 1", at)
-	}
-
-	// Broken prev-hash.
-	b1bad := sampleBlock(1, []byte("wrong"))
-	b1bad.Signers = ids
-	if at, err := VerifyChain([]*Block{b0, b1bad}, reg); err == nil || at != 1 {
-		t.Errorf("broken prev-hash not flagged at 1: at=%d err=%v", at, err)
-	}
-
-	// Wrong height numbering.
-	b2 := b0.Clone()
-	b2.Height = 5
-	if at, err := VerifyChain([]*Block{b2}, reg); err == nil || at != 0 {
-		t.Errorf("bad height not flagged: at=%d err=%v", at, err)
-	}
-
-	// Unknown signer set.
-	ghost := sampleBlock(0, nil)
-	ghost.Signers = []identity.NodeID{"ghost"}
-	ghost.SetCoSig(schnorr.Signature{C: big.NewInt(1), S: big.NewInt(1)})
-	if _, err := VerifyChain([]*Block{ghost}, reg); err == nil {
-		t.Error("unknown signers verified")
 	}
 }
 

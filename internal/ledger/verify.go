@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cosi"
 	"repro/internal/identity"
@@ -16,131 +17,119 @@ var (
 	ErrChainHeight   = errors.New("ledger: non-contiguous block heights")
 	ErrChainPrevHash = errors.New("ledger: broken hash pointer")
 	ErrChainCoSig    = errors.New("ledger: invalid collective signature")
-	ErrChainSigners  = errors.New("ledger: unresolvable signer set")
+	ErrChainSigners  = errors.New("ledger: signer set is not the full server set")
 )
 
-// VerifyChain checks a sequence of blocks as shipped by one server: heights
-// must be contiguous from 0, every PrevHash must equal the previous block's
-// hash, and every block must carry a valid collective signature from its
-// declared signer set. It returns the height of the first invalid block and
-// a describing error, or (-1, nil) if the chain is fully valid.
-//
-// This is the auditor's first step (paper §3.3, Lemma 6): "the signature is
-// tied specifically to one block and if the contents of the block are
-// manipulated, the signature verification will fail"; and because each entry
-// carries the hash of the previous block, reordering breaks the chain.
-func VerifyChain(blocks []*Block, keys *identity.Registry) (int, error) {
-	var prevHash []byte
-	for i, b := range blocks {
-		// A nil entry can only come from a malformed or malicious log
-		// transfer; fail the chain rather than dereference it.
-		if b == nil {
-			return i, fmt.Errorf("%w: block %d is missing", ErrChainHeight, i)
-		}
-		if b.Height != uint64(i) {
-			return i, fmt.Errorf("%w: block %d declares height %d", ErrChainHeight, i, b.Height)
-		}
-		if i == 0 {
-			if len(b.PrevHash) != 0 {
-				return i, fmt.Errorf("%w: genesis block has non-empty prev-hash", ErrChainPrevHash)
-			}
-		} else if !bytes.Equal(b.PrevHash, prevHash) {
-			return i, fmt.Errorf("%w: block %d prev-hash does not match block %d", ErrChainPrevHash, i, i-1)
-		}
-		if err := VerifyBlockSig(b, keys); err != nil {
-			return i, err
-		}
-		prevHash = b.Hash()
-	}
-	return -1, nil
-}
-
-// VerifyChainWith is VerifyChain through an injected verification backend
-// — the auditor's form when one process re-verifies many logs over the
-// same chain: identical co-signed blocks across servers become verdict
-// cache hits instead of repeated aggregate checks.
-func VerifyChainWith(v CoSigVerifier, blocks []*Block) (int, error) {
-	var prevHash []byte
-	for i, b := range blocks {
-		if b == nil {
-			return i, fmt.Errorf("%w: block %d is missing", ErrChainHeight, i)
-		}
-		if b.Height != uint64(i) {
-			return i, fmt.Errorf("%w: block %d declares height %d", ErrChainHeight, i, b.Height)
-		}
-		if i == 0 {
-			if len(b.PrevHash) != 0 {
-				return i, fmt.Errorf("%w: genesis block has non-empty prev-hash", ErrChainPrevHash)
-			}
-		} else if !bytes.Equal(b.PrevHash, prevHash) {
-			return i, fmt.Errorf("%w: block %d prev-hash does not match block %d", ErrChainPrevHash, i, i-1)
-		}
-		if err := VerifyBlockSigWith(v, b); err != nil {
-			return i, err
-		}
-		prevHash = b.Hash()
-	}
-	return -1, nil
-}
-
-// CoSigVerifier abstracts collective-signature verification so block and
-// header checks can route through an injected verification backend
-// (internal/crypto's serial or batched Verifier) instead of hand-rolling
-// the aggregate check at every call site. Implementations return an
-// error describing why the signature is unacceptable (unresolvable
+// CoSigVerifier abstracts collective-signature verification so the chain
+// verifier routes through an injected verification backend
+// (internal/crypto's serial or batched Verifier). Implementations return
+// an error describing why the signature is unacceptable (unresolvable
 // signer, invalid signature); nil means the co-sign verifies.
 type CoSigVerifier interface {
 	VerifyCoSig(signers []identity.NodeID, record []byte, sig cosi.Signature) error
 }
 
-// VerifyBlockSig checks the collective signature of a single block against
-// the aggregate Schnorr public key of its declared signers.
-func VerifyBlockSig(b *Block, keys *identity.Registry) error {
-	return VerifyBlockSigBytes(b, b.SigningBytes(), keys)
+// ChainVerifier is the one acceptance check for a block or header read
+// from an untrusted server (paper §3.3, Lemmas 6–7): the entry sits at the
+// expected height after the expected prev-hash, its signers are exactly
+// the full server set — "even an aborted transaction must be signed by all
+// the servers" (§4.3.1), so a subset signature is a forgery however valid
+// its aggregate — and its collective signature verifies. The signature
+// covers the signing bytes, which commit to the transactions through the
+// txns-hash, so a block with a mutated transaction fails it too.
+type ChainVerifier struct {
+	servers []identity.NodeID
+	cosig   CoSigVerifier
 }
 
-// VerifyBlockSigWith is VerifyBlockSig through an injected verification
-// backend — the commit hot path's form (cohort Decide, catch-up,
-// watchtower tail), where the backend may batch, parallelize or replay a
-// cached verdict for these exact bytes.
-func VerifyBlockSigWith(v CoSigVerifier, b *Block) error {
-	return VerifyBlockSigBytesWith(v, b, b.SigningBytes())
+// NewChainVerifier returns the verifier for a deployment whose full server
+// set is servers, checking co-signs through v.
+func NewChainVerifier(servers []identity.NodeID, v CoSigVerifier) *ChainVerifier {
+	return &ChainVerifier{servers: slices.Clone(servers), cosig: v}
 }
 
-// VerifyBlockSigBytesWith is VerifyBlockSigWith for callers that already
-// hold the block's canonical signing bytes.
-func VerifyBlockSigBytesWith(v CoSigVerifier, b *Block, signingBytes []byte) error {
-	if len(b.Signers) == 0 {
-		return fmt.Errorf("%w: block %d has no signers", ErrChainSigners, b.Height)
+// entry is what the chain verifier reads from a *Block or a *Header. A
+// block's signing bytes equal its header's, so both verify the same way.
+type entry interface {
+	link() (height uint64, prevHash []byte, signers []identity.NodeID, sig cosi.Signature, ok bool)
+	SigningBytes() []byte
+}
+
+func (b *Block) link() (uint64, []byte, []identity.NodeID, cosi.Signature, bool) {
+	if b == nil {
+		return 0, nil, nil, cosi.Signature{}, false
 	}
-	sig := b.CoSig()
+	return b.Height, b.PrevHash, b.Signers, b.CoSig(), true
+}
+
+func (h *Header) link() (uint64, []byte, []identity.NodeID, cosi.Signature, bool) {
+	if h == nil {
+		return 0, nil, nil, cosi.Signature{}, false
+	}
+	return h.Height, h.PrevHash, h.Signers, h.CoSig(), true
+}
+
+// Entry checks one block or header e against the chain position it must
+// occupy: height and the hash of the entry below it (nil for genesis). A
+// genesis entry must carry no prev-hash whatever position the caller
+// expects, so a caller that can only let an entry vouch for its own
+// position — an offline evidence bundle — passes the entry's own height
+// and prev-hash. signingBytes are e's canonical signing bytes when the
+// caller already holds them, or nil to have Entry compute them.
+func (v *ChainVerifier) Entry(height uint64, prevHash []byte, e entry, signingBytes []byte) error {
+	got, gotPrev, signers, sig, ok := e.link()
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: entry %d is missing", ErrChainHeight, height)
+	case got != height:
+		return fmt.Errorf("%w: entry declares height %d, want %d", ErrChainHeight, got, height)
+	case got == 0 && len(gotPrev) != 0:
+		return fmt.Errorf("%w: genesis entry has a prev-hash", ErrChainPrevHash)
+	case !bytes.Equal(gotPrev, prevHash):
+		return fmt.Errorf("%w: entry %d does not chain to the entry below it", ErrChainPrevHash, got)
+	case len(signers) != len(v.servers):
+		return fmt.Errorf("%w: entry %d signed by %d of %d servers", ErrChainSigners, got, len(signers), len(v.servers))
+	}
+	for i, id := range signers {
+		if !slices.Contains(v.servers, id) {
+			return fmt.Errorf("%w: entry %d signed by unknown server %s", ErrChainSigners, got, id)
+		}
+		if slices.Contains(signers[:i], id) {
+			return fmt.Errorf("%w: entry %d lists signer %s twice", ErrChainSigners, got, id)
+		}
+	}
 	if sig.IsZero() {
-		return fmt.Errorf("%w: block %d has no co-sign", ErrChainCoSig, b.Height)
+		return fmt.Errorf("%w: entry %d has no co-sign", ErrChainCoSig, got)
 	}
-	if err := v.VerifyCoSig(b.Signers, signingBytes, sig); err != nil {
-		return fmt.Errorf("%w: block %d: %v", ErrChainCoSig, b.Height, err)
+	if signingBytes == nil {
+		signingBytes = e.SigningBytes()
+	}
+	if err := v.cosig.VerifyCoSig(signers, signingBytes, sig); err != nil {
+		return fmt.Errorf("%w: entry %d: %v", ErrChainCoSig, got, err)
 	}
 	return nil
 }
 
-// VerifyBlockSigBytes is VerifyBlockSig for callers that already hold the
-// block's canonical signing bytes — commitment-layer handlers compute them
-// once per phase and reuse them for the equality check and the signature
-// verification instead of re-encoding the block.
-func VerifyBlockSigBytes(b *Block, signingBytes []byte, keys *identity.Registry) error {
-	if len(b.Signers) == 0 {
-		return fmt.Errorf("%w: block %d has no signers", ErrChainSigners, b.Height)
+// Chain checks a log as shipped by one server, from genesis: every block
+// passes Entry at its index, chained to its predecessor. It returns the
+// height of the first invalid block and a describing error, or (-1, nil)
+// if the chain is fully valid.
+//
+// This is the auditor's first step (paper §3.3, Lemma 6): "the signature is
+// tied specifically to one block and if the contents of the block are
+// manipulated, the signature verification will fail"; and because each entry
+// carries the hash of the previous block, reordering breaks the chain.
+func (v *ChainVerifier) Chain(blocks []*Block) (int, error) {
+	var prevHash []byte
+	for i, b := range blocks {
+		var signingBytes []byte
+		if b != nil {
+			signingBytes = b.SigningBytes()
+		}
+		if err := v.Entry(uint64(i), prevHash, b, signingBytes); err != nil {
+			return i, err
+		}
+		prevHash = chainHash(signingBytes, b.CoSigC, b.CoSigS)
 	}
-	pubs, err := keys.SchnorrKeys(b.Signers)
-	if err != nil {
-		return fmt.Errorf("%w: block %d: %v", ErrChainSigners, b.Height, err)
-	}
-	sig := b.CoSig()
-	if sig.IsZero() {
-		return fmt.Errorf("%w: block %d has no co-sign", ErrChainCoSig, b.Height)
-	}
-	if !cosi.VerifyParticipants(pubs, signingBytes, sig) {
-		return fmt.Errorf("%w: block %d", ErrChainCoSig, b.Height)
-	}
-	return nil
+	return -1, nil
 }

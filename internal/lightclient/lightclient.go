@@ -32,7 +32,6 @@
 package lightclient
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -113,14 +112,13 @@ type shardLayout struct {
 // It is safe for concurrent use; many sessions may share one Client (and
 // should, to share the header cache).
 type Client struct {
-	reg       *identity.Registry
-	tr        transport.Transport
-	layout    Layout
-	servers   []identity.NodeID
-	signerSet map[identity.NodeID]struct{}
-	source    identity.NodeID
-	pageSize  uint32
-	verifier  ledger.CoSigVerifier
+	reg      *identity.Registry
+	tr       transport.Transport
+	layout   Layout
+	servers  []identity.NodeID
+	source   identity.NodeID
+	pageSize uint32
+	chain    *ledger.ChainVerifier
 
 	mu          sync.RWMutex
 	base        uint64 // height of headers[0]
@@ -167,10 +165,9 @@ func New(cfg Config) (*Client, error) {
 		tr:          cfg.Transport,
 		layout:      cfg.Layout,
 		servers:     append([]identity.NodeID(nil), cfg.Servers...),
-		signerSet:   make(map[identity.NodeID]struct{}, len(cfg.Servers)),
 		source:      cfg.Source,
 		pageSize:    cfg.PageSize,
-		verifier:    cfg.Verifier,
+		chain:       ledger.NewChainVerifier(cfg.Servers, cfg.Verifier),
 		rootHeights: make(map[identity.NodeID][]uint64),
 		shards:      make(map[identity.NodeID]*shardLayout),
 
@@ -179,9 +176,6 @@ func New(cfg Config) (*Client, error) {
 		readsVerified:   o.Counter("fides_lightclient_reads_verified_total", "Items whose values reproduced a committed shard root."),
 		staleRetries:    o.Counter("fides_lightclient_stale_retries_total", "Verified reads re-issued because the first response was superseded mid-sync."),
 		proofBytes:      o.Histogram("fides_lightclient_proof_bytes", "Verified-read Merkle proof size in bytes.", obs.SizeBuckets),
-	}
-	for _, id := range cfg.Servers {
-		c.signerSet[id] = struct{}{}
 	}
 	if cfg.CheckpointHash != nil {
 		c.base = cfg.CheckpointHeight + 1
@@ -318,11 +312,8 @@ func (c *Client) appendVerified(page []*ledger.Header, from uint64) error {
 		from = got
 	}
 	for i, h := range page {
-		if h == nil {
-			return fmt.Errorf("%w: nil header at height %d", ErrBadHeader, from+uint64(i))
-		}
-		if err := c.verifyHeaderLocked(h, from+uint64(i)); err != nil {
-			return err
+		if err := c.chain.Entry(from+uint64(i), c.prevHash, h, nil); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadHeader, err)
 		}
 		c.headers = append(c.headers, h)
 		c.prevHash = h.Hash()
@@ -332,40 +323,6 @@ func (c *Client) appendVerified(page []*ledger.Header, from uint64) error {
 		c.headersVerified.Inc()
 	}
 	c.syncPages.Inc()
-	return nil
-}
-
-// verifyHeaderLocked runs the three acceptance checks on one header: chain
-// position (height + prev-hash), signer-set completeness, and the
-// collective signature.
-func (c *Client) verifyHeaderLocked(h *ledger.Header, want uint64) error {
-	if h.Height != want {
-		return fmt.Errorf("%w: height %d, want %d", ErrBadHeader, h.Height, want)
-	}
-	if c.prevHash == nil {
-		// Cold start: the genesis block carries no prev-hash.
-		if h.Height != 0 || len(h.PrevHash) != 0 {
-			return fmt.Errorf("%w: genesis header %d has a prev-hash", ErrBadHeader, h.Height)
-		}
-	} else if !bytes.Equal(h.PrevHash, c.prevHash) {
-		return fmt.Errorf("%w: broken hash chain at height %d", ErrBadHeader, h.Height)
-	}
-	if len(h.Signers) != len(c.signerSet) {
-		return fmt.Errorf("%w: header %d signed by %d of %d servers", ErrBadHeader, h.Height, len(h.Signers), len(c.signerSet))
-	}
-	seen := make(map[identity.NodeID]struct{}, len(h.Signers))
-	for _, id := range h.Signers {
-		if _, ok := c.signerSet[id]; !ok {
-			return fmt.Errorf("%w: header %d signed by unknown server %s", ErrBadHeader, h.Height, id)
-		}
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("%w: header %d lists signer %s twice", ErrBadHeader, h.Height, id)
-		}
-		seen[id] = struct{}{}
-	}
-	if err := ledger.VerifyHeaderSigWith(c.verifier, h); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadHeader, err)
-	}
 	return nil
 }
 

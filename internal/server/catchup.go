@@ -24,9 +24,10 @@ import (
 // carrying a collective signature of the full server set is
 // self-authenticating, so a server that missed a decision — a dropped
 // phase-5 message, a coordinator that died mid-broadcast, or a crash that
-// lost the WAL tail — can take the block from *any* peer, re-verify chain
-// position, txns-hash and CoSi locally, and apply it through the normal
-// commit path. No peer is trusted; the co-signed block is the decision.
+// lost the WAL tail — can take the block from *any* peer, re-verify it
+// through the ledger chain verifier (chain position, full signer set,
+// co-sign over the txns-hash), and apply it through the normal commit
+// path. No peer is trusted; the co-signed block is the decision.
 
 // Paging bound for block transfer, in the spirit of the header-sync caps
 // (readserve.go): one request must not pin a frame arbitrarily long.
@@ -59,7 +60,8 @@ const (
 type CatchupConfig struct {
 	// Transport reaches the peer servers.
 	Transport transport.Transport
-	// Servers is the full server set, including this server.
+	// Servers lists the cluster's servers, this one included; catch-up
+	// asks the others.
 	Servers []identity.NodeID
 	// Grace overrides DefaultCatchupGrace when positive.
 	Grace time.Duration
@@ -69,11 +71,10 @@ type CatchupConfig struct {
 
 // catchupState is the installed form of CatchupConfig.
 type catchupState struct {
-	tr      transport.Transport
-	servers []identity.NodeID // full set, sorted
-	peers   []identity.NodeID // sorted, self excluded
-	grace   time.Duration
-	budget  time.Duration
+	tr     transport.Transport
+	peers  []identity.NodeID // sorted, self excluded
+	grace  time.Duration
+	budget time.Duration
 }
 
 // EnableCatchup installs the catch-up configuration. Until it is called
@@ -92,11 +93,10 @@ func (s *Server) EnableCatchup(cfg CatchupConfig) error {
 		}
 	}
 	cu := &catchupState{
-		tr:      cfg.Transport,
-		servers: servers,
-		peers:   peers,
-		grace:   cfg.Grace,
-		budget:  cfg.Budget,
+		tr:     cfg.Transport,
+		peers:  peers,
+		grace:  cfg.Grace,
+		budget: cfg.Budget,
 	}
 	if cu.grace <= 0 {
 		cu.grace = DefaultCatchupGrace
@@ -407,8 +407,7 @@ func (s *Server) applyFetched(b *ledger.Block) (fresh bool, err error) {
 	if b == nil {
 		return false, errors.New("server: catch-up: nil block")
 	}
-	cu := s.catchupCfg()
-	if cu == nil {
+	if s.catchupCfg() == nil {
 		return false, errors.New("server: catch-up not configured")
 	}
 	// Only commit decisions are ever logged; an "abort block" from a peer
@@ -416,24 +415,26 @@ func (s *Server) applyFetched(b *ledger.Block) (fresh bool, err error) {
 	if b.Decision != ledger.DecisionCommit {
 		return false, fmt.Errorf("server %s: catch-up block %d is not a commit", s.ident.ID, b.Height)
 	}
-	// Completeness: the block must be signed by exactly the full server
-	// set — the same all-signers property every directly received decision
-	// has by construction.
-	if !fullSignerSet(b.Signers, cu.servers) {
-		return false, fmt.Errorf("server %s: catch-up block %d not signed by the full server set", s.ident.ID, b.Height)
+	// The block must chain onto this log at its height. The log only grows
+	// and logged blocks never change, so a position checked here still
+	// holds under the lock below. The chain check runs outside the server
+	// lock, keeping the expensive co-sign verification off the commit
+	// critical section.
+	var prevHash []byte
+	if b.Height > 0 {
+		below, err := s.log.Get(b.Height - 1)
+		if err != nil {
+			return false, fmt.Errorf("%w: catch-up block %d, log length %d", ErrOutOfSequence, b.Height, s.log.Len())
+		}
+		prevHash = below.Hash()
 	}
-	// The collective signature covers the signing bytes, which commit to
-	// the transactions through the txns-hash — verifying it outside the
-	// server lock keeps the expensive check off the commit critical
-	// section.
-	if err := ledger.VerifyBlockSigBytesWith(s.verifier, b, b.SigningBytes()); err != nil {
+	if err := s.chain.Entry(b.Height, prevHash, b, nil); err != nil {
 		return false, fmt.Errorf("%w: catch-up block %d: %v", ErrBadCoSig, b.Height, err)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case b.Height < uint64(s.log.Len()):
+	if b.Height < uint64(s.log.Len()) {
 		logged, err := s.log.Get(b.Height)
 		if err != nil {
 			return false, err
@@ -442,11 +443,6 @@ func (s *Server) applyFetched(b *ledger.Block) (fresh bool, err error) {
 			return false, fmt.Errorf("server %s: catch-up block %d conflicts with the logged block", s.ident.ID, b.Height)
 		}
 		return false, nil
-	case b.Height > uint64(s.log.Len()):
-		return false, fmt.Errorf("%w: catch-up block %d, log length %d", ErrOutOfSequence, b.Height, s.log.Len())
-	}
-	if !bytes.Equal(b.PrevHash, s.log.TipHash()) {
-		return false, fmt.Errorf("%w: catch-up prev-hash mismatch at height %d", ErrOutOfSequence, b.Height)
 	}
 
 	if accesses := durable.ShardAccesses(b, s.shard); len(accesses) > 0 {
@@ -490,20 +486,4 @@ func (s *Server) applyFetched(b *ledger.Block) (fresh bool, err error) {
 	}
 	s.catchupBlocks.Inc()
 	return true, nil
-}
-
-// fullSignerSet reports whether signers is exactly the server set (order
-// ignored; servers is sorted).
-func fullSignerSet(signers, servers []identity.NodeID) bool {
-	if len(signers) != len(servers) {
-		return false
-	}
-	sorted := append([]identity.NodeID(nil), signers...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i := range sorted {
-		if sorted[i] != servers[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -24,6 +24,7 @@ import (
 // sequentially (paper §4.3.1), so at most one is in flight.
 type cohortState struct {
 	height   uint64
+	prevHash []byte // hash of the log tip the block extends, checked at GetVote
 	stripped []byte // canonical partial-block bytes fixed at GetVote/Prepare
 
 	vote     ledger.Decision
@@ -50,7 +51,7 @@ var (
 	ErrAbortWithRoots = errors.New("server: abort decision but all involved roots present")
 	ErrBadChallenge   = errors.New("server: challenge does not match hash(aggregate commitment ‖ block)")
 	ErrVoteOverridden = errors.New("server: commit decision overrides this server's abort vote")
-	ErrBadCoSig       = errors.New("server: decision block carries an invalid collective signature")
+	ErrBadCoSig       = errors.New("server: block fails chain verification (position, signer set or collective signature)")
 )
 
 // GetVote implements TFCommit phase 2 ⟨Vote, SchCommitment⟩ (paper §4.3.1):
@@ -89,6 +90,7 @@ func (s *Server) GetVote(ctx context.Context, from identity.NodeID, req *wire.Ge
 
 	st := &cohortState{
 		height:   req.Block.Height,
+		prevHash: req.Block.PrevHash,
 		stripped: req.Block.StrippedBytes(),
 		vote:     vote,
 		involved: involved,
@@ -234,10 +236,11 @@ func (s *Server) checkChallengeLocked(st *cohortState, req *wire.ChallengeReq, s
 	return nil
 }
 
-// Decide implements TFCommit phase 5 ⟨Decision, null⟩: verify the collective
-// signature on the finalized block and, on commit, append the block to the
-// tamper-proof log and update the datastore from the buffered writes
-// (paper §4.1 steps 6–7).
+// Decide implements TFCommit phase 5 ⟨Decision, null⟩: verify the finalized
+// block — the bytes approved at Challenge, at the chain position fixed at
+// GetVote, co-signed by the full server set — and, on commit, append the
+// block to the tamper-proof log and update the datastore from the buffered
+// writes (paper §4.1 steps 6–7).
 func (s *Server) Decide(ctx context.Context, from identity.NodeID, req *wire.DecisionReq) (*wire.DecisionResp, error) {
 	ctx, span := s.o.Start(ctx, "cohort.decide", "server", string(s.ident.ID))
 	defer span.End()
@@ -280,7 +283,7 @@ func (s *Server) Decide(ctx context.Context, from identity.NodeID, req *wire.Dec
 		if st.challengedBytes != nil && !bytes.Equal(signingBytes, st.challengedBytes) {
 			return nil, fmt.Errorf("%w (height %d)", ErrBlockMutated, b.Height)
 		}
-		if err := ledger.VerifyBlockSigBytesWith(s.verifier, b, signingBytes); err != nil {
+		if err := s.chain.Entry(st.height, st.prevHash, b, signingBytes); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadCoSig, err)
 		}
 	}

@@ -52,7 +52,10 @@ type Snapshotter interface {
 
 // Config assembles a server.
 type Config struct {
-	Identity  *identity.Identity
+	Identity *identity.Identity
+	// Registry holds every node's public keys. Its servers, as registered
+	// when New runs, are the full server set every co-signed block this
+	// server accepts must carry.
 	Registry  *identity.Registry
 	Directory Directory
 	Shard     *store.Shard
@@ -98,6 +101,7 @@ type Server struct {
 	shard    *store.Shard
 	log      *ledger.Log
 	verifier crypto.Verifier
+	chain    *ledger.ChainVerifier // acceptance check for decisions and fetched blocks
 
 	faults Faults
 
@@ -214,6 +218,7 @@ func New(cfg Config) (*Server, error) {
 		ident:     cfg.Identity,
 		reg:       cfg.Registry,
 		verifier:  verifier,
+		chain:     ledger.NewChainVerifier(cfg.Registry.Servers(), verifier),
 		dir:       cfg.Directory,
 		shard:     cfg.Shard,
 		log:       log,

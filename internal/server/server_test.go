@@ -47,6 +47,8 @@ func newEnv(t *testing.T, n int) *env {
 			e.dir[testItem(s, i)] = identity.NodeID(fmt.Sprintf("srv%d", s))
 		}
 	}
+	// Every server is registered before any is built: a server's registry
+	// servers are the full set its decisions must be signed by.
 	for s := 0; s < n; s++ {
 		ident, err := identity.New(identity.NodeID(fmt.Sprintf("srv%d", s)), identity.RoleServer, nil)
 		if err != nil {
@@ -54,6 +56,8 @@ func newEnv(t *testing.T, n int) *env {
 		}
 		e.reg.Register(ident.Public())
 		e.idents = append(e.idents, ident)
+	}
+	for s, ident := range e.idents {
 		items := make([]txn.ItemID, 4)
 		for i := range items {
 			items[i] = testItem(s, i)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/crypto"
 	"repro/internal/identity"
 	"repro/internal/ledger"
 	"repro/internal/server"
@@ -48,7 +49,8 @@ func newStack(t *testing.T, n int, faults tfcommit.Faults) *stack {
 			st.dir[item(s, i)] = id
 		}
 	}
-	var endpoints []transport.Transport
+	// Every server is registered before any is built: a server's registry
+	// servers are the full set its decisions must be signed by.
 	for s := 0; s < n; s++ {
 		ident, err := identity.New(ids[s], identity.RoleServer, nil)
 		if err != nil {
@@ -56,6 +58,9 @@ func newStack(t *testing.T, n int, faults tfcommit.Faults) *stack {
 		}
 		st.reg.Register(ident.Public())
 		st.idents = append(st.idents, ident)
+	}
+	var endpoints []transport.Transport
+	for s, ident := range st.idents {
 		items := make([]txn.ItemID, 4)
 		for i := range items {
 			items[i] = item(s, i)
@@ -90,6 +95,11 @@ func newStack(t *testing.T, n int, faults tfcommit.Faults) *stack {
 	st.reg.Register(cl.Public())
 	st.client = cl
 	return st
+}
+
+// chain is a chain verifier for the stack's full server set.
+func (st *stack) chain() *ledger.ChainVerifier {
+	return ledger.NewChainVerifier(st.reg.Servers(), crypto.NewSerial(st.reg))
 }
 
 func (st *stack) freshTxn(t *testing.T, id string, ts uint64, s, i int) (*txn.Transaction, identity.Envelope) {
@@ -127,8 +137,8 @@ func TestCommitBlockHappyPath(t *testing.T) {
 	if res.Block.CoSig().IsZero() {
 		t.Fatal("committed block lacks co-sign")
 	}
-	if err := ledger.VerifyBlockSig(res.Block, st.reg); err != nil {
-		t.Fatalf("block signature: %v", err)
+	if err := st.chain().Entry(0, nil, res.Block, nil); err != nil {
+		t.Fatalf("block verification: %v", err)
 	}
 	for s, srv := range st.servers {
 		if srv.Log().Len() != 1 {
@@ -174,8 +184,8 @@ func TestCommitBlockAbortsOnConflict(t *testing.T) {
 		t.Fatalf("decision = %v", res.Block.Decision)
 	}
 	// Even the aborted block is collectively signed (paper §4.3.1 phase 5).
-	if err := ledger.VerifyBlockSig(res.Block, st.reg); err != nil {
-		t.Fatalf("aborted block signature: %v", err)
+	if err := st.chain().Entry(0, nil, res.Block, nil); err != nil {
+		t.Fatalf("aborted block verification: %v", err)
 	}
 	// Aborted blocks are not logged.
 	for s, srv := range st.servers {

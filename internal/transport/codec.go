@@ -6,25 +6,10 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/binenc"
 	"repro/internal/identity"
 )
-
-// Codec encodes and decodes message bodies. The deployment-wide default is
-// the binary wire codec (BinaryCodec); JSONCodec remains available for
-// debugging and for inspecting captured traffic with standard tools. Both
-// ends of a deployment must use the same codec — the choice is part of the
-// deployment configuration, like the registry.
-type Codec interface {
-	// Name identifies the codec ("binary", "json").
-	Name() string
-	// Marshal encodes a message body.
-	Marshal(body any) ([]byte, error)
-	// Unmarshal decodes data into the message body struct.
-	Unmarshal(data []byte, body any) error
-}
 
 // BinaryAppender is the encode half of the binary codec contract; message
 // types that implement it (all of internal/wire, ledger.Block,
@@ -34,17 +19,15 @@ type BinaryAppender interface {
 	AppendBinary(buf []byte) []byte
 }
 
-// BinaryCodec encodes bodies with their AppendBinary/UnmarshalBinary fast
-// path and falls back to JSON for types without one (error strings, test
+// BinaryCodec is the message-body codec NewMessage and Message.Decode use.
+// It encodes bodies with their AppendBinary/UnmarshalBinary fast path and
+// falls back to JSON for types without one (error strings, test
 // payloads). The fast path is taken only for types implementing BOTH
 // halves of the contract (checked against the pointer type when a value
 // is passed), so encode and decode always pick the same scheme for the
 // same logical type — an asymmetric type cannot marshal binary on one
 // side and fall back to JSON on the other.
 type BinaryCodec struct{}
-
-// Name implements Codec.
-func (BinaryCodec) Name() string { return "binary" }
 
 var (
 	appenderType    = reflect.TypeOf((*BinaryAppender)(nil)).Elem()
@@ -74,7 +57,7 @@ func asBinaryBody(body any) (BinaryAppender, bool) {
 	return nil, false
 }
 
-// Marshal implements Codec.
+// Marshal encodes a message body.
 func (BinaryCodec) Marshal(body any) ([]byte, error) {
 	if m, ok := asBinaryBody(body); ok {
 		return m.AppendBinary(nil), nil
@@ -86,7 +69,7 @@ func (BinaryCodec) Marshal(body any) ([]byte, error) {
 	return raw, nil
 }
 
-// Unmarshal implements Codec.
+// Unmarshal decodes data into the message body struct.
 func (BinaryCodec) Unmarshal(data []byte, body any) error {
 	if m, ok := body.(encoding.BinaryUnmarshaler); ok {
 		if _, ok := body.(BinaryAppender); ok {
@@ -98,45 +81,6 @@ func (BinaryCodec) Unmarshal(data []byte, body any) error {
 	}
 	return nil
 }
-
-// JSONCodec encodes every body as JSON — the debugging/compat codec.
-type JSONCodec struct{}
-
-// Name implements Codec.
-func (JSONCodec) Name() string { return "json" }
-
-// Marshal implements Codec.
-func (JSONCodec) Marshal(body any) ([]byte, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return nil, fmt.Errorf("transport: marshal %T: %w", body, err)
-	}
-	return raw, nil
-}
-
-// Unmarshal implements Codec.
-func (JSONCodec) Unmarshal(data []byte, body any) error {
-	if err := json.Unmarshal(data, body); err != nil {
-		return fmt.Errorf("transport: unmarshal %T: %w", body, err)
-	}
-	return nil
-}
-
-// defaultCodec holds the process-wide codec used by NewMessage and
-// Message.Decode. Binary unless overridden (SetDefaultCodec).
-var defaultCodec atomic.Value
-
-// codecHolder gives atomic.Value the single concrete type it requires.
-type codecHolder struct{ c Codec }
-
-func init() { defaultCodec.Store(codecHolder{c: BinaryCodec{}}) }
-
-// SetDefaultCodec replaces the process-wide codec. Intended for debugging
-// sessions and codec tests; call before any traffic flows.
-func SetDefaultCodec(c Codec) { defaultCodec.Store(codecHolder{c: c}) }
-
-// DefaultCodec returns the process-wide codec.
-func DefaultCodec() Codec { return defaultCodec.Load().(codecHolder).c }
 
 // --- signed frame encoding ---
 

@@ -63,15 +63,6 @@ func TestBinaryCodecFastPathAndFallback(t *testing.T) {
 	}
 }
 
-// withCodec runs fn with the process codec temporarily replaced.
-func withCodec(t *testing.T, c Codec, fn func()) {
-	t.Helper()
-	prev := DefaultCodec()
-	SetDefaultCodec(c)
-	defer SetDefaultCodec(prev)
-	fn()
-}
-
 // withFrameAuth runs fn with the frame-auth mode temporarily replaced.
 func withFrameAuth(t *testing.T, a FrameAuth, fn func()) {
 	t.Helper()
@@ -79,29 +70,6 @@ func withFrameAuth(t *testing.T, a FrameAuth, fn func()) {
 	SetDefaultFrameAuth(a)
 	defer SetDefaultFrameAuth(prev)
 	fn()
-}
-
-func TestLocalCallJSONCodec(t *testing.T) {
-	withCodec(t, JSONCodec{}, func() {
-		net, reg, idents := setupLocal(t, 0)
-		net.Endpoint(idents["b"], reg, &echoHandler{})
-		a := net.Endpoint(idents["a"], reg, nil)
-		msg, err := NewMessage("echo", "json-mode")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := a.Call(context.Background(), "b", msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body string
-		if err := resp.Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		if body != "a:json-mode" {
-			t.Fatalf("body = %q", body)
-		}
-	})
 }
 
 func TestLocalCallEnvelopeFrameAuth(t *testing.T) {

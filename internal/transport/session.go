@@ -60,8 +60,8 @@ func (a FrameAuth) String() string {
 var defaultFrameAuth atomic.Int32
 
 // SetDefaultFrameAuth replaces the process-wide frame authentication mode.
-// Like SetDefaultCodec it is part of deployment configuration: set it
-// before any traffic flows, identically on every node.
+// It is part of deployment configuration: set it before any traffic flows,
+// identically on every node.
 func SetDefaultFrameAuth(a FrameAuth) { defaultFrameAuth.Store(int32(a)) }
 
 // DefaultFrameAuth returns the process-wide frame authentication mode.

@@ -27,8 +27,8 @@ import (
 )
 
 // Message is a typed RPC payload. Type selects the handler action; Body is
-// the codec encoding (binary by default, see Codec) of the
-// protocol-specific request or response struct.
+// the BinaryCodec encoding of the protocol-specific request or response
+// struct.
 type Message struct {
 	Type string          `json:"type"`
 	Body json.RawMessage `json:"body"`
@@ -40,10 +40,9 @@ type Message struct {
 	Trace obs.SpanContext `json:"-"`
 }
 
-// NewMessage marshals body into a Message of the given type using the
-// process-wide codec.
+// NewMessage marshals body into a Message of the given type.
 func NewMessage(msgType string, body any) (Message, error) {
-	raw, err := DefaultCodec().Marshal(body)
+	raw, err := BinaryCodec{}.Marshal(body)
 	if err != nil {
 		return Message{}, fmt.Errorf("transport: marshal %s: %w", msgType, err)
 	}
@@ -53,7 +52,7 @@ func NewMessage(msgType string, body any) (Message, error) {
 // Decode unmarshals the message body into out. Decoded values never alias
 // m.Body, so transports may recycle the underlying buffer afterwards.
 func (m Message) Decode(out any) error {
-	if err := DefaultCodec().Unmarshal(m.Body, out); err != nil {
+	if err := (BinaryCodec{}).Unmarshal(m.Body, out); err != nil {
 		return fmt.Errorf("transport: decode %s: %w", m.Type, err)
 	}
 	return nil

@@ -14,53 +14,22 @@ import (
 	"repro/internal/wire"
 )
 
-// BundleVerifier re-verifies evidence bundles offline, trusting nothing
-// but the servers' registered public keys and the static shard layout. It
-// is what `fides-client -verify-bundle` runs: a third party that receives
-// a bundle needs no connection to the cluster and no trust in the
-// watchtower that produced it — the co-signed material authenticates
-// itself, and the offending material must demonstrably fail the protocol
-// check the bundle's Kind names.
-//
-// What re-verification proves is *that* the protocol was violated. Which
-// server *served* the offending material rests on the watchtower's
-// transcript (Accused), exactly as log-fetch attribution does in the
-// offline audit.
-type BundleVerifier struct {
-	// Registry supplies the public keys co-signs are verified against.
-	Registry *identity.Registry
-	// Servers is the full server set every co-signed artifact must carry.
-	Servers []identity.NodeID
-	// Layout is the item→server directory and shard layout.
-	Layout lightclient.Layout
-	// Coordinator is implicated alongside owners when replaying bundles.
-	Coordinator identity.NodeID
-	// Verifier optionally routes the per-header collective-signature
-	// checks through an injected verification plane (useful when one
-	// process re-verifies many bundles over the same chain — the verdict
-	// cache collapses repeated headers). Nil verifies serially against
-	// Registry.
-	Verifier ledger.CoSigVerifier
-}
-
-// cosigVerifier returns the injected verification plane or the serial
-// fallback over the registry.
-func (v *BundleVerifier) cosigVerifier() ledger.CoSigVerifier {
-	if v.Verifier != nil {
-		return v.Verifier
-	}
-	return crypto.NewSerial(v.Registry)
+// bundleVerifier is the state of one offline re-verification (VerifyBundle).
+// Anchors and served headers vouch for their own chain position — an
+// offline verifier knows no tip — so they pass the chain verifier at their
+// own height and prev-hash.
+type bundleVerifier struct {
+	chain  *ledger.ChainVerifier
+	layout lightclient.Layout
+	coord  identity.NodeID
 }
 
 // ErrBadBundle reports a malformed or unsubstantiated bundle: the evidence
 // does not demonstrate the violation its Kind claims.
 var ErrBadBundle = errors.New("watch: evidence bundle does not substantiate its finding")
 
-// Verify re-runs the protocol check the bundle claims was violated.
-// It returns nil exactly when the bundle substantiates its finding: all
-// co-signed anchors authenticate AND the offending material fails the
-// named check.
-func (v *BundleVerifier) Verify(b *wire.EvidenceBundle) error {
+// verify re-runs the protocol check the bundle claims was violated.
+func (v *bundleVerifier) verify(b *wire.EvidenceBundle) error {
 	if b == nil {
 		return fmt.Errorf("%w: nil bundle", ErrBadBundle)
 	}
@@ -94,70 +63,28 @@ func (v *BundleVerifier) Verify(b *wire.EvidenceBundle) error {
 	}
 }
 
-// verifyHeader runs the standalone acceptance checks on a co-signed
-// header: full signer set, no duplicates, valid collective signature.
-func (v *BundleVerifier) verifyHeader(h *ledger.Header) error {
-	if h == nil {
-		return errors.New("nil header")
-	}
-	if len(h.Signers) != len(v.Servers) {
-		return fmt.Errorf("header %d signed by %d of %d servers", h.Height, len(h.Signers), len(v.Servers))
-	}
-	known := make(map[identity.NodeID]struct{}, len(v.Servers))
-	for _, id := range v.Servers {
-		known[id] = struct{}{}
-	}
-	seen := make(map[identity.NodeID]struct{}, len(h.Signers))
-	for _, id := range h.Signers {
-		if _, ok := known[id]; !ok {
-			return fmt.Errorf("header %d signed by unknown server %s", h.Height, id)
-		}
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("header %d lists signer %s twice", h.Height, id)
-		}
-		seen[id] = struct{}{}
-	}
-	return ledger.VerifyHeaderSigWith(v.cosigVerifier(), h)
-}
-
-// verifyBlocks checks the bundle's co-signed block range: contiguous
-// heights, an intact internal hash chain, and a full-set collective
-// signature on every block.
-func (v *BundleVerifier) verifyBlocks(blocks []*ledger.Block) error {
-	var prevHash []byte
-	for i, b := range blocks {
-		if b == nil {
-			return fmt.Errorf("nil block at index %d", i)
-		}
-		if i > 0 {
-			if b.Height != blocks[i-1].Height+1 {
-				return fmt.Errorf("non-contiguous heights %d, %d", blocks[i-1].Height, b.Height)
-			}
-			if !bytes.Equal(b.PrevHash, prevHash) {
-				return fmt.Errorf("broken hash chain at height %d", b.Height)
-			}
-		} else if b.Height == 0 && len(b.PrevHash) != 0 {
-			return errors.New("genesis block has non-empty prev-hash")
-		}
-		if err := v.verifyHeader(b.Header()); err != nil {
-			return err
-		}
-		prevHash = b.Hash()
-	}
-	return nil
-}
-
 // verifyReplay re-verifies a replay finding: the co-signed range must
 // authenticate, and replaying it must reproduce a finding of the bundle's
 // kind for the bundle's item at the bundle's height.
-func (v *BundleVerifier) verifyReplay(b *wire.EvidenceBundle) error {
+func (v *bundleVerifier) verifyReplay(b *wire.EvidenceBundle) error {
 	if len(b.Blocks) == 0 {
 		return fmt.Errorf("%w: %s bundle carries no blocks", ErrBadBundle, b.Kind)
 	}
-	if err := v.verifyBlocks(b.Blocks); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadBundle, err)
+	// The range must chain: the first block vouches for its own position,
+	// every later one extends its predecessor.
+	for i, blk := range b.Blocks {
+		if blk == nil {
+			return fmt.Errorf("%w: nil block at index %d", ErrBadBundle, i)
+		}
+		height, prevHash := blk.Height, blk.PrevHash
+		if i > 0 {
+			height, prevHash = b.Blocks[i-1].Height+1, b.Blocks[i-1].Hash()
+		}
+		if err := v.chain.Entry(height, prevHash, blk, nil); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadBundle, err)
+		}
 	}
-	rp := audit.NewReplayer(v.Layout, v.Coordinator)
+	rp := audit.NewReplayer(v.layout, v.coord)
 	var findings []audit.Finding
 	for _, blk := range b.Blocks {
 		findings = append(findings, rp.Step(blk)...)
@@ -184,16 +111,16 @@ func (v *BundleVerifier) verifyReplay(b *wire.EvidenceBundle) error {
 // verifyTamperedChain re-verifies a bad tail block: the served block's
 // header must fail the acceptance checks, either on its own (bad co-sign
 // or signer set) or against the anchor (broken chain).
-func (v *BundleVerifier) verifyTamperedChain(b *wire.EvidenceBundle) error {
+func (v *bundleVerifier) verifyTamperedChain(b *wire.EvidenceBundle) error {
 	if b.BadHeader == nil {
 		return fmt.Errorf("%w: tampered-chain bundle carries no served header", ErrBadBundle)
 	}
 	if b.Anchor != nil {
-		if err := v.verifyHeader(b.Anchor); err != nil {
+		if err := v.chain.Entry(b.Anchor.Height, b.Anchor.PrevHash, b.Anchor, nil); err != nil {
 			return fmt.Errorf("%w: anchor: %v", ErrBadBundle, err)
 		}
 	}
-	if err := v.verifyHeader(b.BadHeader); err != nil {
+	if v.chain.Entry(b.BadHeader.Height, b.BadHeader.PrevHash, b.BadHeader, nil) != nil {
 		return nil // the served block is self-evidently invalid
 	}
 	if b.Anchor != nil && b.BadHeader.Height == b.Anchor.Height+1 && !bytes.Equal(b.BadHeader.PrevHash, b.Anchor.Hash()) {
@@ -207,11 +134,11 @@ func (v *BundleVerifier) verifyTamperedChain(b *wire.EvidenceBundle) error {
 // height. A served header that itself carries a valid full-set co-sign is
 // equivocation evidence (two co-signed histories at one height) — still a
 // violation.
-func (v *BundleVerifier) verifyTamperedHeader(b *wire.EvidenceBundle) error {
+func (v *bundleVerifier) verifyTamperedHeader(b *wire.EvidenceBundle) error {
 	if b.Anchor == nil || b.BadHeader == nil {
 		return fmt.Errorf("%w: tampered-header bundle needs anchor and served header", ErrBadBundle)
 	}
-	if err := v.verifyHeader(b.Anchor); err != nil {
+	if err := v.chain.Entry(b.Anchor.Height, b.Anchor.PrevHash, b.Anchor, nil); err != nil {
 		return fmt.Errorf("%w: anchor: %v", ErrBadBundle, err)
 	}
 	if b.BadHeader.Height != b.Anchor.Height {
@@ -226,7 +153,7 @@ func (v *BundleVerifier) verifyTamperedHeader(b *wire.EvidenceBundle) error {
 // verifyReadBundle re-verifies a sampled-read finding: the anchor must
 // authenticate and carry a root for the accused shard, and the served
 // response must fail the proof check with the named error class.
-func (v *BundleVerifier) verifyReadBundle(b *wire.EvidenceBundle, wantErr error) error {
+func (v *bundleVerifier) verifyReadBundle(b *wire.EvidenceBundle, wantErr error) error {
 	anchor, root, err := v.anchorRoot(b)
 	if err != nil {
 		return err
@@ -249,7 +176,7 @@ func (v *BundleVerifier) verifyReadBundle(b *wire.EvidenceBundle, wantErr error)
 			return fmt.Errorf("%w: named item %q is not part of the sampled read", ErrBadBundle, b.Item)
 		}
 	}
-	verr := lightclient.CheckReadProof(v.Layout, b.Accused[0], b.ReadIDs, b.Read, root)
+	verr := lightclient.CheckReadProof(v.layout, b.Accused[0], b.ReadIDs, b.Read, root)
 	if verr == nil {
 		return fmt.Errorf("%w: served read verifies against the co-signed root", ErrBadBundle)
 	}
@@ -263,7 +190,7 @@ func (v *BundleVerifier) verifyReadBundle(b *wire.EvidenceBundle, wantErr error)
 // must authenticate, and the server's own Verification Object must fold to
 // a root that is not the co-signed one — the datastore cannot authenticate
 // the committed state (Lemma 2).
-func (v *BundleVerifier) verifyCorruptVO(b *wire.EvidenceBundle) error {
+func (v *bundleVerifier) verifyCorruptVO(b *wire.EvidenceBundle) error {
 	_, root, err := v.anchorRoot(b)
 	if err != nil {
 		return err
@@ -280,11 +207,11 @@ func (v *BundleVerifier) verifyCorruptVO(b *wire.EvidenceBundle) error {
 
 // anchorRoot authenticates the bundle's anchor and extracts the co-signed
 // root of the accused server's shard.
-func (v *BundleVerifier) anchorRoot(b *wire.EvidenceBundle) (*ledger.Header, []byte, error) {
+func (v *bundleVerifier) anchorRoot(b *wire.EvidenceBundle) (*ledger.Header, []byte, error) {
 	if b.Anchor == nil {
 		return nil, nil, fmt.Errorf("%w: %s bundle carries no anchor header", ErrBadBundle, b.Kind)
 	}
-	if err := v.verifyHeader(b.Anchor); err != nil {
+	if err := v.chain.Entry(b.Anchor.Height, b.Anchor.PrevHash, b.Anchor, nil); err != nil {
 		return nil, nil, fmt.Errorf("%w: anchor: %v", ErrBadBundle, err)
 	}
 	root, ok := b.Anchor.Roots[b.Accused[0]]
@@ -294,10 +221,25 @@ func (v *BundleVerifier) anchorRoot(b *wire.EvidenceBundle) (*ledger.Header, []b
 	return b.Anchor, root, nil
 }
 
-// VerifyBundle re-verifies one evidence bundle offline. It is the
-// function-shaped form of BundleVerifier for callers that already hold the
-// deployment's registry and layout.
+// VerifyBundle re-verifies one evidence bundle offline, trusting nothing
+// but the servers' registered public keys, the full server set and the
+// static shard layout. It is what `fides-client -verify-bundle` runs: a
+// third party that receives a bundle needs no connection to the cluster
+// and no trust in the watchtower that produced it — the co-signed material
+// authenticates itself through the ledger chain verifier, and the
+// offending material must demonstrably fail the protocol check the
+// bundle's Kind names. It returns nil exactly when the bundle substantiates
+// its finding.
+//
+// What re-verification proves is *that* the protocol was violated. Which
+// server *served* the offending material rests on the watchtower's
+// transcript (Accused), exactly as log-fetch attribution does in the
+// offline audit.
 func VerifyBundle(b *wire.EvidenceBundle, reg *identity.Registry, servers []identity.NodeID, layout lightclient.Layout, coord identity.NodeID) error {
-	v := &BundleVerifier{Registry: reg, Servers: servers, Layout: layout, Coordinator: coord}
-	return v.Verify(b)
+	v := &bundleVerifier{
+		chain:  ledger.NewChainVerifier(servers, crypto.NewSerial(reg)),
+		layout: layout,
+		coord:  coord,
+	}
+	return v.verify(b)
 }

@@ -152,10 +152,9 @@ type Watchtower struct {
 	tr         transport.Transport
 	layout     lightclient.Layout
 	servers    []identity.NodeID
-	signerSet  map[identity.NodeID]struct{}
 	coord      identity.NodeID
 	pageSize   uint32
-	verifier   ledger.CoSigVerifier
+	chain      *ledger.ChainVerifier
 	sampleRate float64
 	maxLag     uint64
 	now        func() time.Time
@@ -212,10 +211,9 @@ func New(cfg Config) (*Watchtower, error) {
 		tr:          cfg.Transport,
 		layout:      cfg.Layout,
 		servers:     append([]identity.NodeID(nil), cfg.Servers...),
-		signerSet:   make(map[identity.NodeID]struct{}, len(cfg.Servers)),
 		coord:       cfg.Coordinator,
 		pageSize:    cfg.PageSize,
-		verifier:    cfg.Verifier,
+		chain:       ledger.NewChainVerifier(cfg.Servers, cfg.Verifier),
 		sampleRate:  cfg.SampleRate,
 		maxLag:      maxLag,
 		now:         now,
@@ -236,9 +234,6 @@ func New(cfg Config) (*Watchtower, error) {
 	}
 	for _, outcome := range []string{"ok", "stale", "unverifiable", "finding", "error"} {
 		w.sampleOutcomes[outcome] = o.Counter("fides_watch_sampled_reads_total", "Sampled proof-carrying verified reads by outcome.", obs.L("outcome", outcome))
-	}
-	for _, id := range cfg.Servers {
-		w.signerSet[id] = struct{}{}
 	}
 	if src := cfg.Source; src != "" {
 		for i, id := range w.servers {
@@ -366,7 +361,7 @@ func (w *Watchtower) tailLocked(ctx context.Context) error {
 		}
 		for i, b := range br.Blocks {
 			want := from + uint64(i)
-			if err := w.verifyBlockLocked(b, want); err != nil {
+			if err := w.chain.Entry(want, w.prevHash, b, nil); err != nil {
 				w.emitChainFindingLocked(src, b, want, err)
 				w.source = (w.source + 1) % len(w.servers)
 				return nil
@@ -377,40 +372,6 @@ func (w *Watchtower) tailLocked(ctx context.Context) error {
 			return nil
 		}
 	}
-}
-
-// verifyBlockLocked re-runs the acceptance checks on one tailed block:
-// chain position (height + prev-hash), signer-set completeness, and the
-// collective signature (which covers the txns-hash, so a manipulated
-// transaction list fails here too).
-func (w *Watchtower) verifyBlockLocked(b *ledger.Block, want uint64) error {
-	if b == nil {
-		return fmt.Errorf("watch: nil block at height %d", want)
-	}
-	if b.Height != want {
-		return fmt.Errorf("watch: block height %d, want %d", b.Height, want)
-	}
-	if w.prevHash == nil {
-		if b.Height != 0 || len(b.PrevHash) != 0 {
-			return fmt.Errorf("watch: genesis block %d has a prev-hash", b.Height)
-		}
-	} else if !bytes.Equal(b.PrevHash, w.prevHash) {
-		return fmt.Errorf("watch: broken hash chain at height %d", b.Height)
-	}
-	if len(b.Signers) != len(w.signerSet) {
-		return fmt.Errorf("watch: block %d signed by %d of %d servers", b.Height, len(b.Signers), len(w.signerSet))
-	}
-	seen := make(map[identity.NodeID]struct{}, len(b.Signers))
-	for _, id := range b.Signers {
-		if _, ok := w.signerSet[id]; !ok {
-			return fmt.Errorf("watch: block %d signed by unknown server %s", b.Height, id)
-		}
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("watch: block %d lists signer %s twice", b.Height, id)
-		}
-		seen[id] = struct{}{}
-	}
-	return ledger.VerifyBlockSigWith(w.verifier, b)
 }
 
 // acceptBlockLocked appends a verified block and replays it, converting

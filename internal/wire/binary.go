@@ -16,10 +16,6 @@ import (
 // big-endian integers). The header makes any captured byte string
 // decodable without out-of-band context (see Decode) and lets a receiver
 // reject version or type mismatches before touching the payload.
-//
-// This codec is the transport default; the JSON struct tags on the message
-// types remain functional behind transport.JSONCodec for debugging and
-// compatibility.
 
 // BinaryVersion is the wire codec version byte leading every message.
 const BinaryVersion = 1
