@@ -229,8 +229,8 @@ func run(path string, index int, dataDir, fsync string, snapEvery, pipeline int,
 
 	// Decision retry, ask-a-peer, and state transfer: every server (not
 	// just cohorts that happen to time out a vote) can answer peers'
-	// ask_decision/fetch_blocks and pull any verified suffix it is
-	// missing, so a restarted process rejoins without operator action.
+	// fetch_blocks and pull any verified suffix it is missing, so a
+	// restarted process rejoins without operator action.
 	if err := srv.EnableCatchup(server.CatchupConfig{
 		Transport: node,
 		Servers:   d.ServerIDs(),

@@ -59,6 +59,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if !res.Committed {
+		return fmt.Errorf("txn %s aborted", s.ID())
+	}
 	fmt.Printf("txn %s: committed=%v at %s in block %d (co-signed by %d servers)\n",
 		s.ID(), res.Committed, res.TS, res.Block.Height, len(res.Block.Signers))
 
@@ -73,6 +76,9 @@ func run() error {
 		return err
 	}
 	fmt.Printf("txn %s: read %s=%q, committed=%v\n", s2.ID(), y, v, res2.Committed)
+	if string(v) != "250" {
+		return fmt.Errorf("read %s=%q, want the value transaction 1 wrote", y, v)
+	}
 
 	// Every server replicated the same tamper-proof log.
 	for _, id := range cluster.Servers() {
@@ -86,5 +92,8 @@ func run() error {
 	}
 	fmt.Printf("audit: clean=%v, findings=%d, authoritative log=%d blocks (from %s)\n",
 		report.Clean(), len(report.Findings), len(report.Authoritative), report.AuthoritativeFrom)
+	if !report.Clean() {
+		return fmt.Errorf("audit of an honest run found %v", report.Findings)
+	}
 	return nil
 }

@@ -94,9 +94,6 @@ func ResumeReplayer(dir Directory, coord identity.NodeID, cp *Checkpoint) *Repla
 // Height is the number of blocks replayed so far.
 func (rp *Replayer) Height() uint64 { return rp.height }
 
-// LastHash is the hash of the last replayed block (nil at genesis).
-func (rp *Replayer) LastHash() []byte { return rp.lastHash }
-
 // Checkpoint snapshots the replayer's position. The snapshot shares no
 // mutable state with the replayer and is JSON- and gob-friendly.
 func (rp *Replayer) Checkpoint() *Checkpoint {

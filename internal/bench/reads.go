@@ -202,11 +202,9 @@ func DriveReads(cluster *core.Cluster, pt ReadsPoint, readOps, readers int, seed
 				res.err = err
 				return
 			}
-			// Plain-read identity: raw wire reads under one long-lived
-			// transaction id per reader (reads open the txn implicitly;
-			// one buffer per reader, not per read).
+			// Plain-read identity: raw wire reads from one endpoint per
+			// reader.
 			var plainEP transport.Transport
-			var plainID string
 			if !pt.Verified {
 				ident, err := cluster.NewClientIdentity()
 				if err != nil {
@@ -217,7 +215,6 @@ func DriveReads(cluster *core.Cluster, pt ReadsPoint, readOps, readers int, seed
 					res.err = err
 					return
 				}
-				plainID = fmt.Sprintf("bench-reader-%d", ri)
 			}
 
 			for n := 0; n < quota; n++ {
@@ -241,7 +238,7 @@ func DriveReads(cluster *core.Cluster, pt ReadsPoint, readOps, readers int, seed
 						res.err = fmt.Errorf("verified read: %w", err)
 						return
 					}
-				} else if err := plainReadBatch(ctx, plainEP, cluster, plainID, ids); err != nil {
+				} else if err := plainReadBatch(ctx, plainEP, cluster, ids); err != nil {
 					res.err = fmt.Errorf("plain read: %w", err)
 					return
 				}
@@ -299,14 +296,14 @@ func pickItems(rng *rand.Rand, shard, shardSize, batch int) []txn.ItemID {
 // plainReadBatch issues the batch as concurrent plain read RPCs — the
 // strongest unverified baseline available (same wall-clock shape as one
 // batched call, none of the proof work).
-func plainReadBatch(ctx context.Context, ep transport.Transport, cluster *core.Cluster, txnID string, ids []txn.ItemID) error {
+func plainReadBatch(ctx context.Context, ep transport.Transport, cluster *core.Cluster, ids []txn.ItemID) error {
 	if len(ids) == 1 {
-		return plainRead(ctx, ep, cluster, txnID, ids[0])
+		return plainRead(ctx, ep, cluster, ids[0])
 	}
 	errs := make(chan error, len(ids))
 	for _, id := range ids {
 		go func(id txn.ItemID) {
-			errs <- plainRead(ctx, ep, cluster, txnID, id)
+			errs <- plainRead(ctx, ep, cluster, id)
 		}(id)
 	}
 	for range ids {
@@ -317,12 +314,12 @@ func plainReadBatch(ctx context.Context, ep transport.Transport, cluster *core.C
 	return nil
 }
 
-func plainRead(ctx context.Context, ep transport.Transport, cluster *core.Cluster, txnID string, id txn.ItemID) error {
+func plainRead(ctx context.Context, ep transport.Transport, cluster *core.Cluster, id txn.ItemID) error {
 	owner, ok := cluster.Directory().Owner(id)
 	if !ok {
 		return fmt.Errorf("bench: no owner for %s", id)
 	}
-	msg, err := transport.NewMessage(wire.MsgRead, &wire.ReadReq{TxnID: txnID, ID: id})
+	msg, err := transport.NewMessage(wire.MsgRead, &wire.ReadReq{ID: id})
 	if err != nil {
 		return err
 	}

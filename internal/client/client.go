@@ -157,7 +157,6 @@ type Session struct {
 	writes  []txn.WriteEntry
 	readIdx map[txn.ItemID]int
 	written map[txn.ItemID]int
-	began   map[identity.NodeID]bool
 	done    bool
 }
 
@@ -168,7 +167,6 @@ func (c *Client) Begin() *Session {
 		id:      c.nextTxnID(),
 		readIdx: make(map[txn.ItemID]int),
 		written: make(map[txn.ItemID]int),
-		began:   make(map[identity.NodeID]bool),
 	}
 }
 
@@ -177,18 +175,6 @@ func (s *Session) ID() string { return s.id }
 
 // ErrSessionDone is returned for operations on a terminated session.
 var ErrSessionDone = errors.New("client: session already terminated")
-
-// ensureBegin marks the transaction as begun at a server the first time
-// the session touches it (paper §4.1 step 1). The begin is piggybacked on
-// the first read/write rather than sent as its own round trip: the
-// execution layer opens the transaction's write buffer implicitly on first
-// access, so a separate announcement would only add a message per server
-// per transaction. (wire.MsgBeginTxn remains available for clients that
-// want the explicit handshake.)
-func (s *Session) ensureBegin(_ context.Context, owner identity.NodeID) error {
-	s.began[owner] = true
-	return nil
-}
 
 // ReadOption configures one Session.Read call.
 type ReadOption func(*readOpts)
@@ -243,20 +229,13 @@ func (s *Session) Read(ctx context.Context, id txn.ItemID, opts ...ReadOption) (
 	if ri, ok := s.readIdx[id]; ok {
 		return append([]byte(nil), s.reads[ri].Value...), nil
 	}
-	if o.verified && s.client.verifier == nil {
-		return nil, ErrNoVerifier
-	}
-	owner, ok := s.client.dir.Owner(id)
-	if !ok {
-		return nil, fmt.Errorf("client: no owner for item %s", id)
-	}
-	if err := s.ensureBegin(ctx, owner); err != nil {
-		return nil, err
-	}
 	if o.verified {
+		if s.client.verifier == nil {
+			return nil, ErrNoVerifier
+		}
 		vals, err := s.client.verifier.ReadVerified(ctx, id)
 		if err != nil {
-			return nil, fmt.Errorf("client: verified read %s from %s: %w", id, owner, err)
+			return nil, fmt.Errorf("client: verified read %s: %w", id, err)
 		}
 		v := vals[0]
 		s.client.observe(v.RTS)
@@ -265,7 +244,25 @@ func (s *Session) Read(ctx context.Context, id txn.ItemID, opts ...ReadOption) (
 		s.reads = append(s.reads, txn.ReadEntry{ID: id, Value: v.Value, RTS: v.RTS, WTS: v.WTS})
 		return append([]byte(nil), v.Value...), nil
 	}
-	msg, err := transport.NewMessage(wire.MsgRead, &wire.ReadReq{TxnID: s.id, ID: id})
+	rr, err := s.fetch(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	s.readIdx[id] = len(s.reads)
+	s.reads = append(s.reads, txn.ReadEntry{ID: id, Value: rr.Value, RTS: rr.RTS, WTS: rr.WTS})
+	return append([]byte(nil), rr.Value...), nil
+}
+
+// fetch reads an item's current value and timestamps from its owning
+// server and advances the client clock past them. It records nothing in
+// the session: Read enters the answer in the read set, a blind Write takes
+// it as the write's baseline.
+func (s *Session) fetch(ctx context.Context, id txn.ItemID) (*wire.ReadResp, error) {
+	owner, ok := s.client.dir.Owner(id)
+	if !ok {
+		return nil, fmt.Errorf("client: no owner for item %s", id)
+	}
+	msg, err := transport.NewMessage(wire.MsgRead, &wire.ReadReq{ID: id})
 	if err != nil {
 		return nil, err
 	}
@@ -279,14 +276,12 @@ func (s *Session) Read(ctx context.Context, id txn.ItemID, opts ...ReadOption) (
 	}
 	s.client.observe(rr.RTS)
 	s.client.observe(rr.WTS)
-	s.readIdx[id] = len(s.reads)
-	s.reads = append(s.reads, txn.ReadEntry{ID: id, Value: rr.Value, RTS: rr.RTS, WTS: rr.WTS})
-	return append([]byte(nil), rr.Value...), nil
+	return &rr, nil
 }
 
 // readPinned serves an AtHeight read: a verified lookup against the
 // co-signed shard root at the pinned height. Values the session itself
-// wrote are still served from the write buffer (handled by Read); nothing
+// wrote are still served from its write set (handled by Read); nothing
 // here touches the read set.
 func (s *Session) readPinned(ctx context.Context, id txn.ItemID, height uint64) ([]byte, error) {
 	if s.client.verifier == nil {
@@ -303,51 +298,33 @@ func (s *Session) readPinned(ctx context.Context, id txn.ItemID, height uint64) 
 // built without a light client (Config.Verifier).
 var ErrNoVerifier = errors.New("client: no verifier configured for verified reads")
 
-// Write buffers a new value for an item at its owning server and records
-// the write entry. For blind writes (items not read first), the server's
-// acknowledgement supplies the old value and timestamps (paper §4.2.1).
+// Write records a new value for an item in the session's write set. The
+// value first leaves the client inside the signed end_transaction: a
+// rewrite, or a write to an item the session has read, sends nothing. A
+// blind write (an item not read first) fetches the item's old value and
+// timestamps from its owning server through a read (paper §4.2.1, Table 1:
+// old_val is populated only for blind writes).
 func (s *Session) Write(ctx context.Context, id txn.ItemID, value []byte) error {
 	if s.done {
 		return ErrSessionDone
 	}
-	owner, ok := s.client.dir.Owner(id)
-	if !ok {
-		return fmt.Errorf("client: no owner for item %s", id)
-	}
-	if err := s.ensureBegin(ctx, owner); err != nil {
-		return err
-	}
-	msg, err := transport.NewMessage(wire.MsgWrite, &wire.WriteReq{TxnID: s.id, ID: id, Value: value})
-	if err != nil {
-		return err
-	}
-	resp, err := s.client.tr.Call(ctx, owner, msg)
-	if err != nil {
-		return fmt.Errorf("client: write %s at %s: %w", id, owner, err)
-	}
-	var wr wire.WriteResp
-	if err := resp.Decode(&wr); err != nil {
-		return err
-	}
-	s.client.observe(wr.RTS)
-	s.client.observe(wr.WTS)
-
 	if wi, ok := s.written[id]; ok {
 		s.writes[wi].NewVal = append([]byte(nil), value...)
 		return nil
 	}
 	entry := txn.WriteEntry{ID: id, NewVal: append([]byte(nil), value...)}
 	if ri, ok := s.readIdx[id]; ok {
-		// Read-then-write: timestamps come from the read observation.
 		entry.RTS = s.reads[ri].RTS
 		entry.WTS = s.reads[ri].WTS
 	} else {
-		// Blind write: old value and timestamps from the acknowledgement
-		// (Table 1: old_val is populated only for blind writes).
+		rr, err := s.fetch(ctx, id)
+		if err != nil {
+			return err
+		}
 		entry.Blind = true
-		entry.OldVal = append([]byte(nil), wr.OldVal...)
-		entry.RTS = wr.RTS
-		entry.WTS = wr.WTS
+		entry.OldVal = rr.Value
+		entry.RTS = rr.RTS
+		entry.WTS = rr.WTS
 	}
 	s.written[id] = len(s.writes)
 	s.writes = append(s.writes, entry)

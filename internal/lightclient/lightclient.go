@@ -233,14 +233,6 @@ func (c *Client) headerLocked(height uint64) *ledger.Header {
 	return c.headers[height-c.base]
 }
 
-// LatestRootHeight returns the newest cached height at which srv committed
-// a shard root (ok false when none is known).
-func (c *Client) LatestRootHeight(srv identity.NodeID) (uint64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.latestRootLocked(srv, ^uint64(0))
-}
-
 // latestRootLocked returns the newest root height for srv at or below max.
 func (c *Client) latestRootLocked(srv identity.NodeID, max uint64) (uint64, bool) {
 	hs := c.rootHeights[srv]

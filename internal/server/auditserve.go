@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"repro/internal/ledger"
 	"repro/internal/wire"
 )
 
@@ -62,16 +61,4 @@ func (s *Server) handleFetchProof(req *wire.FetchProofReq) (*wire.FetchProofResp
 		return nil, fmt.Errorf("server %s: proof: %w", s.ident.ID, err)
 	}
 	return &wire.FetchProofResp{LeafContent: leaf, Proof: proof}, nil
-}
-
-// TamperStoredBlock mutates the server's own stored copy of a block —
-// simulating post-hoc log tampering in place (as opposed to lying only when
-// serving audits). Used by fault-injection tests for Lemma 6.
-func (s *Server) TamperStoredBlock(height uint64, mutate func(*ledger.Block)) error {
-	b, err := s.log.Get(height)
-	if err != nil {
-		return err
-	}
-	mutate(b)
-	return nil
 }

@@ -153,20 +153,10 @@ func (s *Server) StartResolver(interval time.Duration) (stop func()) {
 
 // --- serving side (any server answers; the block authenticates itself) ---
 
-// handleAskDecision serves the co-signed block at one height, plus this
-// server's log length so the asker learns how far behind it is.
-func (s *Server) handleAskDecision(req *wire.AskDecisionReq) (*wire.AskDecisionResp, error) {
-	resp := &wire.AskDecisionResp{Tip: uint64(s.log.Len())}
-	// Logged blocks are immutable once appended; serving them shared is
-	// safe because the transport encodes the response before returning.
-	if b, err := s.log.Get(req.Height); err == nil {
-		resp.Block = b
-	}
-	return resp, nil
-}
-
 // handleFetchBlocks serves a page of full committed blocks for cohort
-// state transfer.
+// state transfer, plus this server's log length so the asker learns how
+// far behind it is. A one-block page at the asker's next height is the
+// decision query of a wedged round.
 func (s *Server) handleFetchBlocks(req *wire.FetchBlocksReq) (*wire.FetchBlocksResp, error) {
 	max := int(req.Max)
 	if max <= 0 {
@@ -267,13 +257,14 @@ func (s *Server) catchUpTo(ctx context.Context, target uint64) (int, error) {
 }
 
 // ResolvePending makes one synchronous pass at resolving stalled state: it
-// asks each peer for the block at this server's next height, applies
-// whatever verified blocks come back, and pages the rest of the suffix
-// from any peer whose tip is ahead. A stale inflight round below the new
-// tip resolves as a side effect — the co-signed block at its height *is*
-// the decision; a round that never reached co-sign left nothing to fetch
-// and is superseded by the next announcement at that height (abort
-// resolution). It returns the number of blocks applied.
+// asks each peer for the block at this server's next height (a one-block
+// fetch_blocks page), applies whatever verified block comes back, and
+// pages the rest of the suffix from any peer whose tip is ahead. A stale
+// inflight round below the new tip resolves as a side effect — the
+// co-signed block at its height *is* the decision; a round that never
+// reached co-sign left nothing to fetch and is superseded by the next
+// announcement at that height (abort resolution). It returns the number
+// of blocks applied.
 func (s *Server) ResolvePending(ctx context.Context) (int, error) {
 	cu := s.catchupCfg()
 	if cu == nil {
@@ -282,20 +273,16 @@ func (s *Server) ResolvePending(ctx context.Context) (int, error) {
 	applied := 0
 	var lastErr error
 	for _, peer := range cu.peers {
-		resp, err := s.askDecision(ctx, cu, peer, uint64(s.log.Len()))
+		resp, err := s.fetchBlocks(ctx, cu, peer, uint64(s.log.Len()), 1)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if resp.Block != nil {
-			fresh, err := s.applyFetched(resp.Block)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if fresh {
-				applied++
-			}
+		n, err := s.applyPage(resp.Blocks)
+		applied += n
+		if err != nil {
+			lastErr = err
+			continue
 		}
 		if tip := resp.Tip; tip > uint64(s.log.Len()) {
 			n, err := s.pullFromPeer(ctx, cu, peer, tip)
@@ -308,33 +295,14 @@ func (s *Server) ResolvePending(ctx context.Context) (int, error) {
 	return applied, lastErr
 }
 
-// pullFromPeer pages blocks [log.Len(), target) from one peer, verifying
-// and applying each. The single-height gap — the common wedge after a lost
-// decision — goes through ask_decision; larger gaps (a server that
-// recovered behind the cluster tip) page through fetch_blocks.
+// pullFromPeer pages blocks [log.Len(), target) from one peer through
+// fetch_blocks, verifying and applying each.
 func (s *Server) pullFromPeer(ctx context.Context, cu *catchupState, peer identity.NodeID, target uint64) (int, error) {
 	applied := 0
 	for {
 		from := uint64(s.log.Len())
 		if from >= target {
 			return applied, nil
-		}
-		if target-from == 1 {
-			resp, err := s.askDecision(ctx, cu, peer, from)
-			if err != nil {
-				return applied, err
-			}
-			if resp.Block == nil {
-				return applied, nil // this peer is behind too
-			}
-			fresh, err := s.applyFetched(resp.Block)
-			if err != nil {
-				return applied, err
-			}
-			if fresh {
-				applied++
-			}
-			continue
 		}
 		max := target - from
 		if max > MaxBlocksPerFetch {
@@ -344,40 +312,29 @@ func (s *Server) pullFromPeer(ctx context.Context, cu *catchupState, peer identi
 		if err != nil {
 			return applied, err
 		}
-		if len(resp.Blocks) == 0 {
-			return applied, nil // this peer has nothing for us
-		}
-		progressed := false
-		for _, b := range resp.Blocks {
-			fresh, err := s.applyFetched(b)
-			if err != nil {
-				return applied, err
-			}
-			if fresh {
-				applied++
-				progressed = true
-			}
-		}
-		if !progressed && uint64(s.log.Len()) <= from {
-			return applied, nil
+		n, err := s.applyPage(resp.Blocks)
+		applied += n
+		if err != nil || (n == 0 && uint64(s.log.Len()) <= from) {
+			// An error, or this peer has nothing for us.
+			return applied, err
 		}
 	}
 }
 
-func (s *Server) askDecision(ctx context.Context, cu *catchupState, peer identity.NodeID, height uint64) (*wire.AskDecisionResp, error) {
-	msg, err := transport.NewMessage(wire.MsgAskDecision, &wire.AskDecisionReq{Height: height})
-	if err != nil {
-		return nil, err
+// applyPage applies a fetched page in order and returns how many of its
+// blocks extended the log; it stops at the first block that fails.
+func (s *Server) applyPage(blocks []*ledger.Block) (int, error) {
+	applied := 0
+	for _, b := range blocks {
+		fresh, err := s.applyFetched(b)
+		if err != nil {
+			return applied, err
+		}
+		if fresh {
+			applied++
+		}
 	}
-	raw, err := cu.tr.Call(ctx, peer, msg)
-	if err != nil {
-		return nil, err
-	}
-	var resp wire.AskDecisionResp
-	if err := raw.Decode(&resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return applied, nil
 }
 
 func (s *Server) fetchBlocks(ctx context.Context, cu *catchupState, peer identity.NodeID, from uint64, max uint32) (*wire.FetchBlocksResp, error) {
@@ -477,9 +434,6 @@ func (s *Server) applyFetched(b *ledger.Block) (fresh bool, err error) {
 		}
 	}
 	s.lastCommitted = s.lastCommitted.Max(b.MaxTS())
-	for i := range b.Txns {
-		delete(s.buffers, b.Txns[i].TxnID)
-	}
 	if s.inflight != nil && s.inflight.height <= b.Height {
 		// The fetched block resolves (or supersedes) the stalled round.
 		s.inflight = nil

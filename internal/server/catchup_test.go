@@ -216,26 +216,27 @@ func TestResolvePendingPullsMissingSuffix(t *testing.T) {
 	}
 }
 
-// TestAskDecisionServesLoggedBlock: the serving side returns the co-signed
-// block at a logged height (and only a tip for heights it does not have).
-func TestAskDecisionServesLoggedBlock(t *testing.T) {
+// TestFetchBlocksServesOneLoggedBlock: a one-block page — the decision
+// query of a wedged round — returns the co-signed block at a logged height
+// plus the tip, and only the tip for heights the server does not have.
+func TestFetchBlocksServesOneLoggedBlock(t *testing.T) {
 	e := newEnv(t, 2)
 	enableCatchupAll(t, e)
 	block := cosignedRoundSkipping(t, e, nil, "t1", 5, 1, 0)
 
-	resp, err := e.servers[0].handleAskDecision(&wire.AskDecisionReq{Height: 0})
+	resp, err := e.servers[0].handleFetchBlocks(&wire.FetchBlocksReq{From: 0, Max: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Block == nil || !bytes.Equal(resp.Block.Hash(), block.Hash()) || resp.Tip != 1 {
-		t.Fatalf("ask_decision answer wrong: block=%v tip=%d", resp.Block, resp.Tip)
+	if len(resp.Blocks) != 1 || !bytes.Equal(resp.Blocks[0].Hash(), block.Hash()) || resp.Tip != 1 {
+		t.Fatalf("one-block fetch answer wrong: blocks=%v tip=%d", resp.Blocks, resp.Tip)
 	}
 
-	resp, err = e.servers[0].handleAskDecision(&wire.AskDecisionReq{Height: 7})
+	resp, err = e.servers[0].handleFetchBlocks(&wire.FetchBlocksReq{From: 7, Max: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Block != nil || resp.Tip != 1 {
-		t.Fatalf("ask_decision for unknown height: block=%v tip=%d", resp.Block, resp.Tip)
+	if len(resp.Blocks) != 0 || resp.Tip != 1 {
+		t.Fatalf("one-block fetch for unknown height: blocks=%v tip=%d", resp.Blocks, resp.Tip)
 	}
 }

@@ -301,11 +301,7 @@ func (s *Server) Decide(ctx context.Context, from identity.NodeID, req *wire.Dec
 			return nil, err
 		}
 	} else {
-		// Aborted blocks are not logged (paper §4.1 step 6), but the
-		// execution-layer buffers of their transactions are released.
-		for i := range b.Txns {
-			delete(s.buffers, b.Txns[i].TxnID)
-		}
+		// Aborted blocks are not logged (paper §4.1 step 6).
 		// Remember the abort so a retried delivery (lost ack) still
 		// re-acknowledges after the inflight state is gone. Entries below
 		// the log tip are stale — the height got committed eventually.
@@ -387,9 +383,6 @@ func (s *Server) applyCommitLocked(ctx context.Context, st *cohortState, b *ledg
 		}
 	}
 	s.lastCommitted = s.lastCommitted.Max(b.MaxTS())
-	for i := range b.Txns {
-		delete(s.buffers, b.Txns[i].TxnID)
-	}
 	return nil
 }
 

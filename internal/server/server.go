@@ -121,7 +121,6 @@ type Server struct {
 	heightGauge     *obs.Gauge
 
 	mu            sync.Mutex
-	buffers       map[string]map[txn.ItemID][]byte // txnID → buffered writes (execution layer)
 	lastCommitted txn.Timestamp
 	inflight      *cohortState // at most one TFCommit/2PC block in flight (sequential blocks)
 	prevValues    map[txn.ItemID][]byte
@@ -234,7 +233,6 @@ func New(cfg Config) (*Server, error) {
 		dupDecisions:    o.Counter("fides_server_dup_decisions_total", "Re-delivered decisions acknowledged idempotently."),
 		heightGauge:     o.Gauge("fides_server_log_height", "Tamper-proof log length (blocks committed)."),
 
-		buffers:      make(map[string]map[txn.ItemID][]byte),
 		prevValues:   make(map[txn.ItemID][]byte),
 		rootAt:       make(map[uint64][]byte),
 		recentAborts: make(map[uint64][]byte),
@@ -316,17 +314,9 @@ var _ transport.Handler = (*Server)(nil)
 // layer.
 func (s *Server) Handle(ctx context.Context, from identity.NodeID, msg transport.Message) (transport.Message, error) {
 	switch msg.Type {
-	case wire.MsgBeginTxn:
-		return dispatch(msg, func(req *wire.BeginTxnReq) (*wire.BeginTxnResp, error) {
-			return s.handleBegin(req)
-		})
 	case wire.MsgRead:
 		return dispatch(msg, func(req *wire.ReadReq) (*wire.ReadResp, error) {
 			return s.handleRead(req)
-		})
-	case wire.MsgWrite:
-		return dispatch(msg, func(req *wire.WriteReq) (*wire.WriteResp, error) {
-			return s.handleWrite(req)
 		})
 	case wire.MsgEndTxn:
 		return dispatch(msg, func(req *wire.EndTxnReq) (*wire.EndTxnResp, error) {
@@ -368,10 +358,6 @@ func (s *Server) Handle(ctx context.Context, from identity.NodeID, msg transport
 		return dispatch(msg, func(req *wire.VerifiedReadReq) (*wire.VerifiedReadResp, error) {
 			return s.handleVerifiedRead(req)
 		})
-	case wire.MsgAskDecision:
-		return dispatch(msg, func(req *wire.AskDecisionReq) (*wire.AskDecisionResp, error) {
-			return s.handleAskDecision(req)
-		})
 	case wire.MsgFetchBlocks:
 		return dispatch(msg, func(req *wire.FetchBlocksReq) (*wire.FetchBlocksResp, error) {
 			return s.handleFetchBlocks(req)
@@ -396,43 +382,15 @@ func dispatch[Req any, Resp any](msg transport.Message, fn func(*Req) (*Resp, er
 
 // --- Execution layer (paper §4.2.1) ---
 
-func (s *Server) handleBegin(req *wire.BeginTxnReq) (*wire.BeginTxnResp, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.ensureTxnLocked(req.TxnID); err != nil {
-		return nil, fmt.Errorf("server: begin: %w", err)
-	}
-	return &wire.BeginTxnResp{OK: true}, nil
-}
-
-// ensureTxnLocked opens the transaction's execution-layer buffer when the
-// begin was implicit. The begin contract is uniform across the execution
-// layer: an explicit begin_transaction, a first read, or a first write all
-// open the transaction identically, and an empty transaction id is
-// rejected on every path (it used to be rejected only on the explicit
-// begin, with writes auto-creating a buffer and reads touching none).
-func (s *Server) ensureTxnLocked(txnID string) (map[txn.ItemID][]byte, error) {
-	if txnID == "" {
-		return nil, errors.New("empty txn id")
-	}
-	buf, ok := s.buffers[txnID]
-	if !ok {
-		buf = make(map[txn.ItemID][]byte)
-		s.buffers[txnID] = buf
-	}
-	return buf, nil
-}
-
+// handleRead serves an item's current value and timestamps. The execution
+// layer holds no per-transaction state: the client keeps its own read and
+// write sets, and the signed end_transaction carries them whole, so a read
+// needs no transaction id and a write needs no server round trip (a blind
+// write fetches its old value and timestamps through this same read).
 func (s *Server) handleRead(req *wire.ReadReq) (*wire.ReadResp, error) {
-	// The server lock guards only the transaction table and the fault
-	// state; the shard read runs under the shard's own RLock so
-	// concurrent plain reads never serialize behind block applies.
-	s.mu.Lock()
-	_, err := s.ensureTxnLocked(req.TxnID)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("server: read: %w", err)
-	}
+	// The shard read runs under the shard's own RLock so concurrent plain
+	// reads never serialize behind block applies; the server lock guards
+	// only the fault state.
 	item, err := s.shard.Get(req.ID)
 	if err != nil {
 		return nil, err
@@ -450,21 +408,6 @@ func (s *Server) handleRead(req *wire.ReadReq) (*wire.ReadResp, error) {
 	}
 	s.mu.Unlock()
 	return resp, nil
-}
-
-func (s *Server) handleWrite(req *wire.WriteReq) (*wire.WriteResp, error) {
-	item, err := s.shard.Get(req.ID)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	buf, err := s.ensureTxnLocked(req.TxnID)
-	if err != nil {
-		return nil, fmt.Errorf("server: write: %w", err)
-	}
-	buf[req.ID] = append([]byte(nil), req.Value...)
-	return &wire.WriteResp{OldVal: item.Value, RTS: item.RTS, WTS: item.WTS}, nil
 }
 
 func (s *Server) handleEndTxn(ctx context.Context, req *wire.EndTxnReq) (*wire.EndTxnResp, error) {

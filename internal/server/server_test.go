@@ -501,28 +501,23 @@ func TestExecutionLayerReadWrite(t *testing.T) {
 	e := newEnv(t, 1)
 	srv := e.servers[0]
 
-	if _, err := srv.handleBegin(&wire.BeginTxnReq{TxnID: "t1"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.handleBegin(&wire.BeginTxnReq{}); err == nil {
-		t.Fatal("empty txn id accepted")
-	}
-	rr, err := srv.handleRead(&wire.ReadReq{TxnID: "t1", ID: testItem(0, 0)})
+	// The execution layer is stateless: a read carries no transaction id
+	// and serves both a read and a blind write's baseline (paper §4.2.1).
+	rr, err := srv.handleRead(&wire.ReadReq{ID: testItem(0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rr.Value, []byte("0")) {
 		t.Fatalf("read = %q", rr.Value)
 	}
-	wr, err := srv.handleWrite(&wire.WriteReq{TxnID: "t1", ID: testItem(0, 1), Value: []byte("blind")})
+	item, err := srv.Shard().Get(testItem(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Blind-write ack carries the old value (paper §4.2.1).
-	if !bytes.Equal(wr.OldVal, []byte("0")) {
-		t.Fatalf("ack old value = %q", wr.OldVal)
+	if rr.RTS != item.RTS || rr.WTS != item.WTS {
+		t.Fatalf("read timestamps rts=%v wts=%v, want %v %v", rr.RTS, rr.WTS, item.RTS, item.WTS)
 	}
-	if _, err := srv.handleRead(&wire.ReadReq{TxnID: "t1", ID: "ghost"}); err == nil {
+	if _, err := srv.handleRead(&wire.ReadReq{ID: "ghost"}); err == nil {
 		t.Fatal("read of ghost item accepted")
 	}
 }

@@ -34,7 +34,7 @@ func (s *Server) Prepare(ctx context.Context, from identity.NodeID, req *wire.Pr
 }
 
 // Decide2PC implements the 2PC decision round: on commit, apply the
-// buffered writes and append the (unsigned) block to the log.
+// block's writes and append the (unsigned) block to the log.
 func (s *Server) Decide2PC(ctx context.Context, from identity.NodeID, req *wire.TwoPCDecisionReq) (*wire.TwoPCDecisionResp, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

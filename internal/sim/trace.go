@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -107,15 +106,4 @@ func (t *Trace) Hash() string {
 		h.Write([]byte{'\n'})
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Dump renders the canonical trace as text (one event per line), for
-// debugging a failing seed.
-func (t *Trace) Dump() string {
-	var b strings.Builder
-	for _, e := range t.Events() {
-		b.WriteString(e.canonical())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -13,23 +13,6 @@ import (
 // sibling hashes across the batch instead of paying k·log₂(n) hashes for
 // k items.
 
-// IndexOf returns the Merkle leaf index of an item. The leaf order is the
-// sorted item order fixed at shard construction, so clients that know the
-// shard layout can compute the same index independently and reject proofs
-// claiming a different position.
-func (s *Shard) IndexOf(id txn.ItemID) (int, bool) {
-	i, ok := s.idx[id]
-	return i, ok
-}
-
-// TreeDepth returns the number of levels of the shard's Merkle tree
-// (log₂ of the leaf capacity) — the Depth a valid MultiProof must carry.
-func (s *Shard) TreeDepth() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tree.Depth()
-}
-
 // MultiProof returns the current state of the requested items together
 // with one batched Verification Object authenticating all of them against
 // the shard's current root. Items are returned in Merkle leaf order

@@ -276,7 +276,7 @@ type Access struct {
 }
 
 // Apply updates the datastore for a committed transaction (or batch of
-// non-conflicting transactions sharing a block): buffered writes are
+// non-conflicting transactions sharing a block): its writes are
 // installed and the rts/wts of accessed items advance to the commit
 // timestamp. For multi-versioned shards a new version of every touched item
 // is recorded.

@@ -252,13 +252,6 @@ func New(cfg Config) (*Watchtower, error) {
 	return w, nil
 }
 
-// VerifiedHeight is the exclusive upper bound of the verified chain.
-func (w *Watchtower) VerifiedHeight() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.base + uint64(len(w.blocks))
-}
-
 // Tip is the highest chain height any server has reported.
 func (w *Watchtower) Tip() uint64 {
 	w.mu.Lock()

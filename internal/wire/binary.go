@@ -22,14 +22,17 @@ const BinaryVersion = 1
 
 // Numeric message ids, one per concrete message type (requests and
 // responses separately — the header must identify the exact struct).
+// An id never changes meaning: evidence bundles are stored on disk with
+// their id byte, so the ids of deleted messages stay reserved as blank
+// slots (TestWireIDsStable pins every surviving value).
 const (
 	idInvalid byte = iota
-	idBeginTxnReq
-	idBeginTxnResp
+	_              // reserved: begin_txn request
+	_              // reserved: begin_txn response
 	idReadReq
 	idReadResp
-	idWriteReq
-	idWriteResp
+	_ // reserved: write request
+	_ // reserved: write response
 	idEndTxnReq
 	idEndTxnResp
 	idGetVoteReq
@@ -50,8 +53,8 @@ const (
 	idFetchHeadersResp
 	idVerifiedReadReq
 	idVerifiedReadResp
-	idAskDecisionReq
-	idAskDecisionResp
+	_ // reserved: tfc_ask_decision request
+	_ // reserved: tfc_ask_decision response
 	idFetchBlocksReq
 	idFetchBlocksResp
 	idEvidenceBundle
@@ -133,41 +136,8 @@ func decodeEnvelopes(r *binenc.Reader) ([]identity.Envelope, error) {
 // --- execution layer ---
 
 // AppendBinary implements the binary wire codec.
-func (m *BeginTxnReq) AppendBinary(buf []byte) []byte {
-	buf = appendHeader(buf, idBeginTxnReq)
-	return binenc.AppendString(buf, m.TxnID)
-}
-
-// UnmarshalBinary implements the binary wire codec.
-func (m *BeginTxnReq) UnmarshalBinary(data []byte) error {
-	r, err := openHeader(data, idBeginTxnReq)
-	if err != nil {
-		return err
-	}
-	m.TxnID = r.String()
-	return finish(&r, MsgBeginTxn)
-}
-
-// AppendBinary implements the binary wire codec.
-func (m *BeginTxnResp) AppendBinary(buf []byte) []byte {
-	buf = appendHeader(buf, idBeginTxnResp)
-	return binenc.AppendBool(buf, m.OK)
-}
-
-// UnmarshalBinary implements the binary wire codec.
-func (m *BeginTxnResp) UnmarshalBinary(data []byte) error {
-	r, err := openHeader(data, idBeginTxnResp)
-	if err != nil {
-		return err
-	}
-	m.OK = r.Bool()
-	return finish(&r, MsgBeginTxn+" resp")
-}
-
-// AppendBinary implements the binary wire codec.
 func (m *ReadReq) AppendBinary(buf []byte) []byte {
 	buf = appendHeader(buf, idReadReq)
-	buf = binenc.AppendString(buf, m.TxnID)
 	return binenc.AppendString(buf, string(m.ID))
 }
 
@@ -177,7 +147,6 @@ func (m *ReadReq) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	m.TxnID = r.String()
 	m.ID = txn.ItemID(r.String())
 	return finish(&r, MsgRead)
 }
@@ -200,46 +169,6 @@ func (m *ReadResp) UnmarshalBinary(data []byte) error {
 	m.RTS = txn.DecodeTimestamp(&r)
 	m.WTS = txn.DecodeTimestamp(&r)
 	return finish(&r, MsgRead+" resp")
-}
-
-// AppendBinary implements the binary wire codec.
-func (m *WriteReq) AppendBinary(buf []byte) []byte {
-	buf = appendHeader(buf, idWriteReq)
-	buf = binenc.AppendString(buf, m.TxnID)
-	buf = binenc.AppendString(buf, string(m.ID))
-	return binenc.AppendBytes(buf, m.Value)
-}
-
-// UnmarshalBinary implements the binary wire codec.
-func (m *WriteReq) UnmarshalBinary(data []byte) error {
-	r, err := openHeader(data, idWriteReq)
-	if err != nil {
-		return err
-	}
-	m.TxnID = r.String()
-	m.ID = txn.ItemID(r.String())
-	m.Value = r.Bytes()
-	return finish(&r, MsgWrite)
-}
-
-// AppendBinary implements the binary wire codec.
-func (m *WriteResp) AppendBinary(buf []byte) []byte {
-	buf = appendHeader(buf, idWriteResp)
-	buf = binenc.AppendBytes(buf, m.OldVal)
-	buf = m.RTS.AppendBinary(buf)
-	return m.WTS.AppendBinary(buf)
-}
-
-// UnmarshalBinary implements the binary wire codec.
-func (m *WriteResp) UnmarshalBinary(data []byte) error {
-	r, err := openHeader(data, idWriteResp)
-	if err != nil {
-		return err
-	}
-	m.OldVal = r.Bytes()
-	m.RTS = txn.DecodeTimestamp(&r)
-	m.WTS = txn.DecodeTimestamp(&r)
-	return finish(&r, MsgWrite+" resp")
 }
 
 // --- termination ---
@@ -711,42 +640,6 @@ func (m *VerifiedReadResp) UnmarshalBinary(data []byte) error {
 // --- decision recovery & catch-up ---
 
 // AppendBinary implements the binary wire codec.
-func (m *AskDecisionReq) AppendBinary(buf []byte) []byte {
-	buf = appendHeader(buf, idAskDecisionReq)
-	return binenc.AppendUint64(buf, m.Height)
-}
-
-// UnmarshalBinary implements the binary wire codec.
-func (m *AskDecisionReq) UnmarshalBinary(data []byte) error {
-	r, err := openHeader(data, idAskDecisionReq)
-	if err != nil {
-		return err
-	}
-	m.Height = r.Uint64()
-	return finish(&r, MsgAskDecision)
-}
-
-// AppendBinary implements the binary wire codec.
-func (m *AskDecisionResp) AppendBinary(buf []byte) []byte {
-	buf = appendHeader(buf, idAskDecisionResp)
-	buf = binenc.AppendUint64(buf, m.Tip)
-	return appendBlockPtr(buf, m.Block)
-}
-
-// UnmarshalBinary implements the binary wire codec.
-func (m *AskDecisionResp) UnmarshalBinary(data []byte) error {
-	r, err := openHeader(data, idAskDecisionResp)
-	if err != nil {
-		return err
-	}
-	m.Tip = r.Uint64()
-	if m.Block, err = decodeBlockPtr(&r); err != nil {
-		return err
-	}
-	return finish(&r, MsgAskDecision+" resp")
-}
-
-// AppendBinary implements the binary wire codec.
 func (m *FetchBlocksReq) AppendBinary(buf []byte) []byte {
 	buf = appendHeader(buf, idFetchBlocksReq)
 	buf = binenc.AppendUint64(buf, m.From)
@@ -1025,18 +918,10 @@ type binaryMessage interface {
 // newMessage instantiates the message struct for a numeric id.
 func newMessage(id byte) binaryMessage {
 	switch id {
-	case idBeginTxnReq:
-		return new(BeginTxnReq)
-	case idBeginTxnResp:
-		return new(BeginTxnResp)
 	case idReadReq:
 		return new(ReadReq)
 	case idReadResp:
 		return new(ReadResp)
-	case idWriteReq:
-		return new(WriteReq)
-	case idWriteResp:
-		return new(WriteResp)
 	case idEndTxnReq:
 		return new(EndTxnReq)
 	case idEndTxnResp:
@@ -1077,10 +962,6 @@ func newMessage(id byte) binaryMessage {
 		return new(VerifiedReadReq)
 	case idVerifiedReadResp:
 		return new(VerifiedReadResp)
-	case idAskDecisionReq:
-		return new(AskDecisionReq)
-	case idAskDecisionResp:
-		return new(AskDecisionResp)
 	case idFetchBlocksReq:
 		return new(FetchBlocksReq)
 	case idFetchBlocksResp:

@@ -83,12 +83,8 @@ func TestRoundTripAllMessages(t *testing.T) {
 	block := sampleBlock(t)
 	env := sampleEnvelope()
 	msgs := []binaryMessage{
-		&BeginTxnReq{TxnID: "c01-t1"},
-		&BeginTxnResp{OK: true},
-		&ReadReq{TxnID: "c01-t1", ID: "s00-i0001"},
+		&ReadReq{ID: "s00-i0001"},
 		&ReadResp{Value: big, RTS: txn.Timestamp{Time: 1, ClientID: 2}, WTS: txn.Timestamp{Time: 3, ClientID: 4}},
-		&WriteReq{TxnID: "c01-t1", ID: "s00-i0001", Value: []byte("v")},
-		&WriteResp{OldVal: []byte("old"), RTS: txn.Timestamp{Time: 1, ClientID: 2}},
 		&EndTxnReq{TxnEnvelope: env},
 		&EndTxnResp{Committed: true, Block: block},
 		&EndTxnResp{Rejected: true, LatestTS: txn.Timestamp{Time: 9, ClientID: 1}},
@@ -119,11 +115,9 @@ func TestRoundTripAllMessages(t *testing.T) {
 			},
 			Proof: merkle.MultiProof{Indices: []int{1, 7}, Depth: 4, Siblings: [][]byte{bytes.Repeat([]byte{7}, 32), bytes.Repeat([]byte{8}, 32)}},
 		},
-		&AskDecisionReq{Height: 17},
-		&AskDecisionResp{Block: block, Tip: 43},
-		&AskDecisionResp{Tip: 3}, // height beyond the responder's log
 		&FetchBlocksReq{From: 9, Max: 64},
 		&FetchBlocksResp{Blocks: []*ledger.Block{block, block}, Tip: 44},
+		&FetchBlocksResp{Tip: 3}, // page beyond the responder's log
 		&EvidenceBundle{
 			Kind:    "incorrect-read",
 			Accused: []identity.NodeID{"s01"},
@@ -156,15 +150,13 @@ func TestRoundTripAllMessages(t *testing.T) {
 
 func TestRoundTripZeroValues(t *testing.T) {
 	msgs := []binaryMessage{
-		&BeginTxnReq{}, &BeginTxnResp{}, &ReadReq{}, &ReadResp{},
-		&WriteReq{}, &WriteResp{}, &EndTxnReq{}, &EndTxnResp{},
+		&ReadReq{}, &ReadResp{}, &EndTxnReq{}, &EndTxnResp{},
 		&GetVoteReq{}, &VoteResp{}, &ChallengeReq{}, &ChallengeResp{},
 		&DecisionReq{}, &DecisionResp{}, &PrepareReq{}, &PrepareResp{},
 		&TwoPCDecisionReq{}, &TwoPCDecisionResp{}, &FetchLogReq{},
 		&FetchLogResp{}, &FetchProofReq{}, &FetchProofResp{},
 		&FetchHeadersReq{}, &FetchHeadersResp{}, &VerifiedReadReq{},
-		&VerifiedReadResp{}, &AskDecisionReq{}, &AskDecisionResp{},
-		&FetchBlocksReq{}, &FetchBlocksResp{},
+		&VerifiedReadResp{}, &FetchBlocksReq{}, &FetchBlocksResp{},
 		&EvidenceBundle{}, &IntegrityStatus{},
 	}
 	for _, m := range msgs {
@@ -187,16 +179,16 @@ func TestEmptyByteSliceDecodesAsNil(t *testing.T) {
 }
 
 func TestDecodeRejectsHeaderMismatch(t *testing.T) {
-	data := (&BeginTxnReq{TxnID: "t"}).AppendBinary(nil)
+	data := (&ReadReq{ID: "t"}).AppendBinary(nil)
 
-	var wrong ReadReq
+	var wrong FetchProofReq
 	if err := wrong.UnmarshalBinary(data); err == nil {
 		t.Fatal("decoded into the wrong message type")
 	}
 
 	bad := append([]byte(nil), data...)
 	bad[0] = 99 // unsupported version
-	var req BeginTxnReq
+	var req ReadReq
 	if err := req.UnmarshalBinary(bad); err == nil {
 		t.Fatal("accepted unsupported codec version")
 	}
@@ -206,6 +198,42 @@ func TestDecodeRejectsHeaderMismatch(t *testing.T) {
 	}
 	if _, err := Decode([]byte{BinaryVersion}); err == nil {
 		t.Fatal("accepted truncated header")
+	}
+}
+
+// TestWireIDsStable pins the id byte of every message. Evidence bundles
+// are stored on disk with this byte in their header, so an id must never
+// be renumbered; the ids of deleted messages stay reserved and decode to
+// nothing.
+func TestWireIDsStable(t *testing.T) {
+	ids := []struct {
+		msg binaryMessage
+		id  byte
+	}{
+		{&ReadReq{}, 3}, {&ReadResp{}, 4},
+		{&EndTxnReq{}, 7}, {&EndTxnResp{}, 8},
+		{&GetVoteReq{}, 9}, {&VoteResp{}, 10},
+		{&ChallengeReq{}, 11}, {&ChallengeResp{}, 12},
+		{&DecisionReq{}, 13}, {&DecisionResp{}, 14},
+		{&PrepareReq{}, 15}, {&PrepareResp{}, 16},
+		{&TwoPCDecisionReq{}, 17}, {&TwoPCDecisionResp{}, 18},
+		{&FetchLogReq{}, 19}, {&FetchLogResp{}, 20},
+		{&FetchProofReq{}, 21}, {&FetchProofResp{}, 22},
+		{&FetchHeadersReq{}, 23}, {&FetchHeadersResp{}, 24},
+		{&VerifiedReadReq{}, 25}, {&VerifiedReadResp{}, 26},
+		{&FetchBlocksReq{}, 29}, {&FetchBlocksResp{}, 30},
+		{&EvidenceBundle{}, 31}, {&IntegrityStatus{}, 32},
+	}
+	for _, c := range ids {
+		if got := c.msg.AppendBinary(nil)[1]; got != c.id {
+			t.Errorf("%T: id byte %d, want %d", c.msg, got, c.id)
+		}
+	}
+	// Reserved: begin_txn, write and tfc_ask_decision requests/responses.
+	for _, id := range []byte{0, 1, 2, 5, 6, 27, 28, 33} {
+		if _, err := Decode([]byte{BinaryVersion, id}); err == nil {
+			t.Errorf("id %d decoded, want an unknown-id error", id)
+		}
 	}
 }
 
@@ -269,7 +297,7 @@ func TestDecodedBlockSigningBytesMatchSender(t *testing.T) {
 
 func FuzzWireDecode(f *testing.F) {
 	block := &ledger.Block{Height: 1, Txns: []ledger.TxnRecord{{TxnID: "t", TS: txn.Timestamp{Time: 1, ClientID: 1}}}}
-	f.Add((&BeginTxnReq{TxnID: "c-t1"}).AppendBinary(nil))
+	f.Add((&ReadReq{ID: "a"}).AppendBinary(nil))
 	f.Add((&GetVoteReq{Block: block, ClientReqs: []identity.Envelope{{From: "c", Payload: []byte("p"), Sig: []byte("s")}}}).AppendBinary(nil))
 	f.Add((&EndTxnResp{Committed: true, Block: block}).AppendBinary(nil))
 	f.Add((&VoteResp{Vote: ledger.DecisionAbort, TxnAborts: []int{1}}).AppendBinary(nil))
@@ -280,8 +308,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add((&VerifiedReadReq{IDs: []txn.ItemID{"a", "b"}, Pinned: true, AtHeight: 4}).AppendBinary(nil))
 	f.Add((&VerifiedReadResp{Height: 4, Items: []VerifiedItem{{ID: "a", Value: []byte("v")}},
 		Proof: merkle.MultiProof{Indices: []int{0}, Depth: 1, Siblings: [][]byte{{2}}}}).AppendBinary(nil))
-	f.Add((&AskDecisionReq{Height: 6}).AppendBinary(nil))
-	f.Add((&AskDecisionResp{Block: block, Tip: 7}).AppendBinary(nil))
+	f.Add((&ReadResp{Value: []byte("v"), RTS: txn.Timestamp{Time: 2, ClientID: 1}}).AppendBinary(nil))
+	f.Add([]byte{BinaryVersion, 1}) // a reserved id of a deleted message
 	f.Add((&FetchBlocksReq{From: 2, Max: 16}).AppendBinary(nil))
 	f.Add((&FetchBlocksResp{Blocks: []*ledger.Block{block}, Tip: 2}).AppendBinary(nil))
 	f.Add((&EvidenceBundle{Kind: "bad-proof", Accused: []identity.NodeID{"s1"}, Height: 3,

@@ -17,9 +17,7 @@ import (
 // Message type identifiers.
 const (
 	// Execution layer (client → server).
-	MsgBeginTxn = "begin_txn"
-	MsgRead     = "read"
-	MsgWrite    = "write"
+	MsgRead = "read"
 
 	// Termination (client → coordinator).
 	MsgEndTxn = "end_txn"
@@ -46,8 +44,7 @@ const (
 	// Decision recovery and cohort catch-up (server ↔ server; see
 	// docs/protocol.md "Decision delivery, catch-up, and coordinator
 	// failover"). A co-signed block is self-authenticating, so any peer —
-	// trusted or not — can answer these.
-	MsgAskDecision = "tfc_ask_decision"
+	// trusted or not — can answer it.
 	MsgFetchBlocks = "log_fetch_blocks"
 
 	// Watchtower (internal/watch): portable misbehavior evidence and the
@@ -59,22 +56,10 @@ const (
 	MsgIntegrityStatus = "watch_integrity"
 )
 
-// BeginTxnReq opens a transaction at a server storing items the transaction
-// will access (paper §4.1 step 1).
-type BeginTxnReq struct {
-	TxnID string `json:"txn_id"`
-}
-
-// BeginTxnResp acknowledges a begin request.
-type BeginTxnResp struct {
-	OK bool `json:"ok"`
-}
-
 // ReadReq asks the execution layer for a data item's current value
 // (paper §4.1 step 2).
 type ReadReq struct {
-	TxnID string     `json:"txn_id"`
-	ID    txn.ItemID `json:"id"`
+	ID txn.ItemID `json:"id"`
 }
 
 // ReadResp carries the value and the item's current read/write timestamps
@@ -84,22 +69,6 @@ type ReadResp struct {
 	Value []byte        `json:"value"`
 	RTS   txn.Timestamp `json:"rts"`
 	WTS   txn.Timestamp `json:"wts"`
-}
-
-// WriteReq buffers a write at the execution layer (paper §4.2.1).
-type WriteReq struct {
-	TxnID string     `json:"txn_id"`
-	ID    txn.ItemID `json:"id"`
-	Value []byte     `json:"value"`
-}
-
-// WriteResp acknowledges a buffered write. To support blind writes the
-// acknowledgement includes the old value and timestamps of the item
-// (paper §4.2.1).
-type WriteResp struct {
-	OldVal []byte        `json:"old_val"`
-	RTS    txn.Timestamp `json:"rts"`
-	WTS    txn.Timestamp `json:"wts"`
 }
 
 // EndTxnReq is the client's signed termination request
@@ -284,30 +253,15 @@ type VerifiedReadResp struct {
 	Proof  merkle.MultiProof `json:"proof"`
 }
 
-// AskDecisionReq asks a peer server for the co-signed block at one height.
-// A cohort sends it when a round stalls in phase 5: its vote-lookahead wait
-// timed out, or an inflight round never received a decision (for example
-// because the coordinator died between co-sign and broadcast). Because the
-// block carries the collective signature of every server, the cohort can
-// verify the answer without trusting the responder — the co-signed block
-// *is* the decision.
-type AskDecisionReq struct {
-	Height uint64 `json:"height"`
-}
-
-// AskDecisionResp carries the responder's co-signed block at the requested
-// height (nil if its log has not reached it) plus the responder's current
-// log length, so the asker learns how far behind it is in one round trip.
-type AskDecisionResp struct {
-	Block *ledger.Block `json:"block,omitempty"`
-	Tip   uint64        `json:"tip"`
-}
-
 // FetchBlocksReq asks a peer server for a range of full committed blocks
 // starting at height From (at most Max of them). A server that recovers
 // behind the cluster tip pages its missing log suffix from any peer,
 // re-verifying chain position, txns-hash, and collective signature exactly
-// as recovery verifies the disk before applying each block.
+// as recovery verifies the disk before applying each block. A cohort whose
+// round stalled in phase 5 asks for one block at its next height: because
+// the block carries the collective signature of every server, the cohort
+// verifies the answer without trusting the responder — the co-signed block
+// *is* the decision.
 type FetchBlocksReq struct {
 	From uint64 `json:"from"`
 	Max  uint32 `json:"max"`
